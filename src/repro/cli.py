@@ -25,7 +25,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.engine.backends import BACKENDS, DEFAULT_BACKEND
+from repro.core.engine.backends import DEFAULT_BACKEND
+from repro.core.engine.placement import (
+    ENGINE_BACKENDS,
+    STANDALONE_BACKENDS,
+    resolve_placement,
+)
 from repro.core.solver import CDDSolver, UCDDCPSolver, solver_methods
 from repro.experiments.config import SCALES, get_scale
 from repro.experiments.runner import EXPERIMENTS, run_experiment
@@ -44,6 +49,42 @@ def _add_device_profile_arg(parser: argparse.ArgumentParser) -> None:
         help="modeled GPU generation for gpusim timings (default: "
              "%(default)s, the paper's GT 560M); results are "
              "profile-independent, only modeled runtimes change",
+    )
+
+
+def _add_runner_args(parser: argparse.ArgumentParser, unit: str) -> None:
+    """The resilience flags :func:`_build_runner` reads, for commands
+    whose work splits into ``unit``-sized checkpointed cells."""
+    parser.add_argument(
+        "--checkpoint-dir", default="results/checkpoints",
+        help="checkpoint directory (default: %(default)s; 'none' "
+             "disables checkpointing)",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help=f"replay each {unit} already checkpointed by an interrupted "
+             "run instead of recomputing it (bit-identical continuation)",
+    )
+    parser.add_argument(
+        "--max-retries", type=int, default=2,
+        help=f"retries per {unit} on transient device errors",
+    )
+    parser.add_argument(
+        "--workers", type=int, default=None, metavar="N",
+        help=f"run each {unit} on one of N worker processes "
+             "(default: serial)",
+    )
+    parser.add_argument(
+        "--task-timeout", type=float, default=None, metavar="SECONDS",
+        help=f"with --workers: wall-clock watchdog per {unit}; a hung "
+             f"worker is killed and its {unit} retried without stalling "
+             "siblings",
+    )
+    parser.add_argument(
+        "--inject-pool-fault", default=None, metavar="KIND:TASK[:repeat]",
+        help="with --workers: deterministic pool-transport fault "
+             "injection, e.g. 'kill:1' (retried) or 'kill:1:repeat' "
+             "(quarantined); kinds: kill, hang, corrupt-payload",
     )
 
 
@@ -74,10 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--block", type=int, default=None,
                          help="block size (parallel methods)")
     p_solve.add_argument(
-        "--backend", choices=tuple(BACKENDS), default=DEFAULT_BACKEND,
+        "--backend", choices=ENGINE_BACKENDS, default=DEFAULT_BACKEND,
         help="execution backend (parallel methods): cycle-modeled gpusim, "
-             "fast vectorized host execution, or multiprocess sharding "
-             "across worker processes",
+             "fast vectorized host execution, or vectorized shards on "
+             "worker processes (multiprocess) or host agents (distributed)",
     )
     p_solve.add_argument(
         "--workers", type=int, default=None, metavar="N",
@@ -91,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identically",
     )
     p_solve.add_argument(
-        "--task-retries", type=int, default=0, metavar="K",
+        "--task-retries", type=int, default=None, metavar="K",
         help="in-pool retries of crashed/hung shards before the solve "
-             "fails (--backend multiprocess)",
+             "fails (--backend multiprocess or distributed; default 0)",
     )
     p_solve.add_argument(
         "--inject-pool-fault", default=None, metavar="KIND:TASK[:repeat]",
@@ -111,12 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="SECONDS",
         help="ping cadence to each host agent (--backend distributed; "
-             "default 2s)",
+             "default: the host pool's, see docs/distributed.md)",
     )
     p_solve.add_argument(
         "--heartbeat-timeout", type=float, default=None, metavar="SECONDS",
         help="silence deadline before a host is declared dead and its "
-             "shards fail over (--backend distributed; default 10s)",
+             "shards fail over (--backend distributed; default: the host "
+             "pool's)",
     )
     p_solve.add_argument(
         "--inject-net-fault", default=None, metavar="KIND:TASK[:repeat]",
@@ -167,54 +209,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="regenerate a table/figure")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
     p_exp.add_argument("--scale", choices=sorted(SCALES), default=None)
-    p_exp.add_argument(
-        "--checkpoint-dir", default="results/checkpoints",
-        help="directory for per-study work-unit checkpoints "
-             "(default: %(default)s; 'none' disables checkpointing)",
-    )
-    p_exp.add_argument(
-        "--resume", action="store_true",
-        help="replay completed work units from the checkpoint instead of "
-             "recomputing them (bit-identical continuation of an "
-             "interrupted run)",
-    )
-    p_exp.add_argument(
-        "--max-retries", type=int, default=2,
-        help="retries per work unit on transient device errors",
-    )
+    _add_runner_args(p_exp, "work unit")
     p_exp.add_argument(
         "--unit-timeout", type=float, default=None, metavar="SECONDS",
         help="per-work-unit wall-clock deadline (checked between retry "
              "attempts)",
     )
     p_exp.add_argument(
-        "--backend", choices=tuple(BACKENDS), default=None,
+        "--backend", choices=STANDALONE_BACKENDS, default=None,
         help="execution backend for the study's solver runs (default: "
              "each study's preference — vectorized for quality tables, "
              "gpusim where modeled timings are the measurement)",
-    )
-    p_exp.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="run the study's work units on N worker processes "
-             "(default: serial)",
     )
     p_exp.add_argument(
         "--inject-fault", default=None, metavar="OP:AT:KIND[:repeat]",
         help="deterministic fault injection for testing, e.g. "
              "'launch:100:transient' or 'malloc:1:oom:repeat' "
              "(kinds: transient, timeout, oom, fatal, interrupt)",
-    )
-    p_exp.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="with --workers: per-unit wall-clock watchdog; a hung "
-             "worker is killed and the unit retried without stalling "
-             "siblings",
-    )
-    p_exp.add_argument(
-        "--inject-pool-fault", default=None, metavar="KIND:TASK[:repeat]",
-        help="with --workers: deterministic pool-transport fault "
-             "injection, e.g. 'kill:1' (retried) or 'kill:1:repeat' "
-             "(quarantined); kinds: kill, hang, corrupt-payload",
     )
     _add_device_profile_arg(p_exp)
 
@@ -235,35 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_best.add_argument("set_name", help="registry name, e.g. cdd_quick")
     p_best.add_argument("--restarts", type=int, default=4)
     p_best.add_argument("--iterations", type=int, default=8000)
-    p_best.add_argument(
-        "--checkpoint-dir", default="results/checkpoints",
-        help="directory for the precompute checkpoint "
-             "(default: %(default)s; 'none' disables checkpointing)",
-    )
-    p_best.add_argument(
-        "--resume", action="store_true",
-        help="skip reference values already checkpointed by an "
-             "interrupted precompute",
-    )
-    p_best.add_argument(
-        "--max-retries", type=int, default=2,
-        help="retries per instance on transient device errors",
-    )
-    p_best.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="recompute reference values on N worker processes "
-             "(default: serial)",
-    )
-    p_best.add_argument(
-        "--task-timeout", type=float, default=None, metavar="SECONDS",
-        help="with --workers: per-instance wall-clock watchdog "
-             "(hung worker killed and retried)",
-    )
-    p_best.add_argument(
-        "--inject-pool-fault", default=None, metavar="KIND:TASK[:repeat]",
-        help="with --workers: deterministic pool-transport fault "
-             "injection (kinds: kill, hang, corrupt-payload)",
-    )
+    _add_runner_args(p_best, "instance")
     _add_device_profile_arg(p_best)
 
     p_trace = sub.add_parser(
@@ -314,46 +297,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 kwargs["block_size"] = args.block
             kwargs["backend"] = args.backend
             kwargs["device_profile"] = args.device_profile
-            if args.backend == "distributed":
-                rc = _apply_distributed_flags(args, kwargs)
-                if rc is not None:
-                    return rc
-            else:
-                for flag, value in (
-                    ("--hosts", args.hosts),
-                    ("--heartbeat-interval", args.heartbeat_interval),
-                    ("--heartbeat-timeout", args.heartbeat_timeout),
-                    ("--inject-net-fault", args.inject_net_fault),
-                ):
-                    if value is not None:
-                        print(f"{flag} requires --backend distributed",
-                              file=sys.stderr)
-                        return 2
-                supervision_flags = (
-                    ("--workers", "workers", args.workers),
-                    ("--task-timeout", "task_timeout", args.task_timeout),
-                    ("--inject-pool-fault", "pool_faults",
-                     args.inject_pool_fault),
-                )
-                if args.task_retries:
-                    supervision_flags += (
-                        ("--task-retries", "task_retries", args.task_retries),
-                    )
-                for flag, key, value in supervision_flags:
-                    if value is None:
-                        continue
-                    if args.backend != "multiprocess":
-                        print(f"{flag} requires --backend multiprocess",
-                              file=sys.stderr)
-                        return 2
-                    if key == "pool_faults":
-                        from repro.pool.faults import (
-                            PoolFaultPlan,
-                            parse_pool_fault,
-                        )
-
-                        value = PoolFaultPlan([parse_pool_fault(value)])
-                    kwargs[key] = value
+            knobs = _placement_knobs(args)
+            try:
+                resolve_placement(args.backend, knobs, spell=_solve_flag)
+            except ValueError as exc:
+                print(exc, file=sys.stderr)
+                return 2
+            kwargs.update(knobs)
     result = solver.solve(args.method, **kwargs)
     print(f"instance: {inst.name}")
     print(result.summary())
@@ -361,44 +311,37 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _apply_distributed_flags(
-    args: argparse.Namespace, kwargs: dict
-) -> int | None:
-    """Translate the distributed solve flags into solver kwargs.
+#: The ``repro solve`` flag of each placement knob it exposes.
+_PLACEMENT_FLAGS = dict(
+    workers="--workers", task_timeout="--task-timeout",
+    task_retries="--task-retries", pool_faults="--inject-pool-fault",
+    hosts="--hosts", heartbeat_interval_s="--heartbeat-interval",
+    heartbeat_timeout_s="--heartbeat-timeout",
+    net_faults="--inject-net-fault",
+)
 
-    Returns an exit code on a usage error, ``None`` on success (kwargs
-    updated in place).
-    """
-    for flag, value in (
-        ("--workers", args.workers),
-        ("--task-timeout", args.task_timeout),
-        ("--inject-pool-fault", args.inject_pool_fault),
-    ):
-        if value is not None:
-            print(
-                f"{flag} does not apply to --backend distributed "
-                "(worker counts come from --hosts; task deadlines are "
-                "agent-side: repro agent --task-timeout)",
-                file=sys.stderr,
-            )
-            return 2
-    if args.hosts is None:
-        print("--backend distributed requires --hosts", file=sys.stderr)
-        return 2
-    kwargs["hosts"] = args.hosts
-    if args.task_retries:
-        kwargs["task_retries"] = args.task_retries
-    if args.heartbeat_interval is not None:
-        kwargs["heartbeat_interval_s"] = args.heartbeat_interval
-    if args.heartbeat_timeout is not None:
-        kwargs["heartbeat_timeout_s"] = args.heartbeat_timeout
+
+def _solve_flag(name: str, value: object = None) -> str:
+    """Spell placement errors with ``repro solve``'s own flags."""
+    flag = _PLACEMENT_FLAGS.get(name, f"--{name}")
+    return flag if value is None else f"{flag} {value}"
+
+
+def _placement_knobs(args: argparse.Namespace) -> dict:
+    """The placement flags of ``repro solve``, keyed by solver knob."""
+    from repro.pool import faults
+
+    knobs = {
+        knob: getattr(args, flag[2:].replace("-", "_"))
+        for knob, flag in _PLACEMENT_FLAGS.items()
+    }
+    if args.inject_pool_fault is not None:
+        spec = faults.parse_pool_fault(args.inject_pool_fault)
+        knobs.update(pool_faults=faults.PoolFaultPlan([spec]))
     if args.inject_net_fault is not None:
-        from repro.pool.faults import NetFaultPlan, parse_net_fault
-
-        kwargs["net_faults"] = NetFaultPlan(
-            [parse_net_fault(args.inject_net_fault)]
-        )
-    return None
+        spec = faults.parse_net_fault(args.inject_net_fault)
+        knobs.update(net_faults=faults.NetFaultPlan([spec]))
+    return knobs
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -450,10 +393,10 @@ def _build_runner(args: argparse.Namespace):
     if getattr(args, "inject_fault", None):
         plan = FaultPlan([parse_fault(args.inject_fault)])
     pool_plan = None
-    if getattr(args, "inject_pool_fault", None):
+    if args.inject_pool_fault:
         pool_plan = PoolFaultPlan([parse_pool_fault(args.inject_pool_fault)])
-    checkpoint_dir = getattr(args, "checkpoint_dir", None)
-    if checkpoint_dir in (None, "none"):
+    checkpoint_dir = args.checkpoint_dir
+    if checkpoint_dir == "none":
         checkpoint_dir = None
     return ResilientRunner(
         policy=RetryPolicy(
@@ -464,8 +407,8 @@ def _build_runner(args: argparse.Namespace):
         resume=args.resume,
         fault_plan=plan,
         backend=getattr(args, "backend", None),
-        workers=getattr(args, "workers", None),
-        task_timeout_s=getattr(args, "task_timeout", None),
+        workers=args.workers,
+        task_timeout_s=args.task_timeout,
         pool_faults=pool_plan,
         progress=lambda msg: print(f"  [{msg}]", file=sys.stderr),
     )

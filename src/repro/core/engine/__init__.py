@@ -1,19 +1,20 @@
-"""The unified solver engine: problem adapters x execution backends.
+"""The unified solver engine: problem adapters x backends x placements.
 
 The two-layered approach of the paper (metaheuristic over sequences, O(n)
 inner optimizer per candidate) is implemented once here and parameterized
-along two orthogonal axes:
+along three orthogonal axes:
 
 * **What problem** -- a :class:`~repro.core.engine.adapters.ProblemAdapter`
   (CDD or UCDDCP) owning objectives, schedule reconstruction and device
   staging; :func:`~repro.core.engine.adapters.adapter_for` is the single
   type-dispatch site in the codebase.
-* **Where it runs** -- an
+* **What runs the kernels** -- an
   :class:`~repro.core.engine.backends.ExecutionBackend`: the cycle-modeled
-  simulated CUDA device (``"gpusim"``), direct vectorized host execution
-  of the same kernel bodies (``"vectorized"``), or the vectorized path
-  sharded across worker processes (``"multiprocess"``,
-  :mod:`repro.pool`) -- bit-identical trajectories all three ways.
+  simulated CUDA device (``"gpusim"``) or direct vectorized host execution
+  of the same kernel bodies (``"vectorized"``).
+* **Where the chains run** -- a :class:`~repro.core.engine.placement.
+  Placement`: in process, or sharded over worker processes or remote host
+  agents (:mod:`repro.pool`) -- bit-identical trajectories every way.
 
 :mod:`~repro.core.engine.driver` hosts the shared generation loop the
 parallel drivers plug strategy objects into, and
@@ -32,7 +33,6 @@ from repro.core.engine.backends import (
     DEFAULT_BACKEND,
     ExecutionBackend,
     GpusimBackend,
-    MultiprocessBackend,
     VectorizedBackend,
     create_backend,
 )
@@ -50,7 +50,6 @@ __all__ = [
     "ExecutionBackend",
     "GpusimBackend",
     "VectorizedBackend",
-    "MultiprocessBackend",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "create_backend",

@@ -2,7 +2,7 @@
 
 The parallel drivers express one generation as a pipeline of kernel
 launches (perturbation -> fitness -> acceptance -> reduction).  A backend
-decides *where* those kernels run:
+decides *what runs* those kernels:
 
 * :class:`GpusimBackend` -- the cycle-modeled simulated CUDA device of
   :mod:`repro.gpusim`: every launch and transfer is charged to the modeled
@@ -18,7 +18,9 @@ decides *where* those kernels run:
 Both backends expose CUDA-shaped primitives (``alloc``/``upload``/
 ``download``/``launch``/``synchronize``) plus adapter-driven staging of the
 instance data, so the shared driver in
-:mod:`repro.core.engine.driver` is backend-agnostic.
+:mod:`repro.core.engine.driver` is backend-agnostic.  Where the chains
+run -- in process, on worker processes or on remote hosts -- is the
+separate placement axis of :mod:`repro.core.engine.placement`.
 """
 
 from __future__ import annotations
@@ -28,11 +30,6 @@ from typing import TYPE_CHECKING, Any, ClassVar
 
 import numpy as np
 
-from repro.core.engine.config import (
-    check_retries,
-    check_timeout,
-    check_workers,
-)
 from repro.gpusim.device import Device, DeviceSpec
 from repro.gpusim.kernel import Kernel, ThreadContext
 from repro.gpusim.memory import ConstantMemory
@@ -49,8 +46,6 @@ __all__ = [
     "ExecutionBackend",
     "GpusimBackend",
     "VectorizedBackend",
-    "MultiprocessBackend",
-    "DistributedBackend",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "create_backend",
@@ -68,9 +63,6 @@ class ExecutionBackend(ABC):
     """
 
     name: ClassVar[str]
-    #: Whether :meth:`timing_fields` reports modeled device/kernels/memcpy
-    #: durations (only the cycle-modeled backend does).
-    models_device_time: ClassVar[bool]
 
     def __init__(self, fault_plan: "FaultPlan | None" = None) -> None:
         #: Optional deterministic fault injection (see
@@ -125,7 +117,6 @@ class GpusimBackend(ExecutionBackend):
     """Run on the simulated CUDA device with full cost modeling."""
 
     name = "gpusim"
-    models_device_time = True
 
     device: Device
     data: DeviceProblemData
@@ -208,7 +199,6 @@ class VectorizedBackend(ExecutionBackend):
     """
 
     name = "vectorized"
-    models_device_time = False
 
     def __init__(
         self,
@@ -217,8 +207,8 @@ class VectorizedBackend(ExecutionBackend):
     ) -> None:
         super().__init__(fault_plan=fault_plan)
         #: Global thread id of this backend's local thread 0.  Non-zero only
-        #: when the backend runs one shard of a larger ensemble (the
-        #: multiprocess backend's workers); the RNG is then offset so local
+        #: when the backend runs one shard of a larger ensemble (a sharded
+        #: placement's workers); the RNG is then offset so local
         #: threads draw exactly the streams of their global counterparts.
         self.thread_offset = thread_offset
 
@@ -270,195 +260,11 @@ class VectorizedBackend(ExecutionBackend):
         return tuple(self._staged[name] for name in self._fitness_names)
 
 
-class MultiprocessBackend(ExecutionBackend):
-    """Shard the chain ensemble across worker processes.
-
-    Unlike the other backends this is a *driver-level* strategy, not a
-    kernel-level one: :func:`repro.core.engine.driver.run_ensemble` detects
-    it and hands the whole solve to
-    :func:`repro.pool.sharding.run_sharded_ensemble`, which splits the
-    ensemble into contiguous block ranges, runs each slice through a
-    :class:`VectorizedBackend` (with an RNG thread offset) in a worker
-    process, and merges the shard results bit-identically to the unsharded
-    run.  The CUDA-shaped primitives are therefore never called on an
-    instance of this class.
-    """
-
-    name = "multiprocess"
-    models_device_time = False
-
-    def __init__(
-        self,
-        fault_plan: "FaultPlan | None" = None,
-        workers: int | None = None,
-        context: str | None = None,
-        task_timeout: float | None = None,
-        task_retries: int = 0,
-        pool_faults: "Any | None" = None,
-    ) -> None:
-        super().__init__(fault_plan=fault_plan)
-        check_workers(workers)
-        check_timeout(task_timeout, "task_timeout")
-        check_retries(task_retries, "task_retries")
-        #: Worker-process count; ``None`` picks ``min(os.cpu_count(),
-        #: grid_size)`` at shard-planning time.
-        self.workers = workers
-        #: multiprocessing start method (``None`` = platform default).
-        self.context = context
-        #: Per-shard wall-clock deadline: a shard exceeding it is killed
-        #: and (given ``task_retries``) deterministically re-run — shard
-        #: replays are bit-identical, so supervision never changes results.
-        self.task_timeout = task_timeout
-        #: In-pool retries of abnormally-died shards (crash/timeout/
-        #: corrupt payload) before the solve fails.
-        self.task_retries = task_retries
-        #: Optional :class:`repro.pool.faults.PoolFaultPlan` injecting
-        #: deterministic transport faults into the shard workers.
-        self.pool_faults = pool_faults
-
-    def _never(self, primitive: str) -> RuntimeError:
-        return RuntimeError(
-            f"MultiprocessBackend.{primitive} should never be called: "
-            "run_ensemble delegates multiprocess solves to "
-            "repro.pool.sharding.run_sharded_ensemble"
-        )
-
-    def open(self, adapter, seed, device_spec, timing=None) -> None:
-        raise self._never("open")
-
-    def alloc(self, shape, dtype, label: str = ""):
-        raise self._never("alloc")
-
-    def upload(self, buf, host) -> None:
-        raise self._never("upload")
-
-    def download(self, buf):
-        raise self._never("download")
-
-    def launch(self, kern, config, *args) -> None:
-        raise self._never("launch")
-
-    def synchronize(self) -> None:
-        raise self._never("synchronize")
-
-    def fitness_buffers(self):
-        raise self._never("fitness_buffers")
-
-
-class DistributedBackend(ExecutionBackend):
-    """Shard the chain ensemble across remote host agents.
-
-    A driver-level backend like :class:`MultiprocessBackend`:
-    ``run_ensemble`` hands the whole solve to
-    :func:`repro.pool.sharding.run_distributed_ensemble`, which plans
-    shards for the topology's *total* worker count and dispatches them
-    over a :class:`repro.pool.hosts.HostPool`.  Because the shard plan
-    depends only on that total, the merged result is bit-identical to
-    ``backend="multiprocess"`` with the same number of local workers —
-    including runs where a host dies mid-flight and its shards fail over
-    to the survivors (re-runs use the same ``OffsetRNG`` offsets).
-
-    ``task_timeout`` is deliberately absent: task supervision is the
-    *agent's* job (``repro agent --task-timeout``); the client only
-    bounds network stalls via heartbeats.
-    """
-
-    name = "distributed"
-    models_device_time = False
-
-    def __init__(
-        self,
-        fault_plan: "FaultPlan | None" = None,
-        hosts: "str | tuple[Any, ...] | list[Any] | None" = None,
-        task_retries: int = 0,
-        heartbeat_interval_s: float = 2.0,
-        heartbeat_timeout_s: float = 10.0,
-        connect_timeout_s: float = 5.0,
-        io_timeout_s: float = 30.0,
-        reconnect_attempts: int = 3,
-        backoff_base_s: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_max_s: float = 2.0,
-        local_fallback: bool = True,
-        net_faults: "Any | None" = None,
-        context: str | None = None,
-    ) -> None:
-        super().__init__(fault_plan=fault_plan)
-        from repro.pool.net import HostSpec, parse_host_specs
-
-        if hosts is None or (isinstance(hosts, (tuple, list)) and not hosts):
-            raise ValueError(
-                "DistributedBackend needs a host topology; pass "
-                "hosts='HOST[:PORT]:WORKERS,...' (e.g. 'host1:4,host2:8')"
-            )
-        if isinstance(hosts, str):
-            self.hosts: tuple[Any, ...] = parse_host_specs(hosts)
-        else:
-            for spec in hosts:
-                if not isinstance(spec, HostSpec):
-                    raise ValueError(
-                        f"hosts entries must be HostSpec, got {spec!r}"
-                    )
-            self.hosts = tuple(hosts)
-        check_retries(task_retries, "task_retries")
-        self.task_retries = task_retries
-        self.heartbeat_interval_s = heartbeat_interval_s
-        self.heartbeat_timeout_s = heartbeat_timeout_s
-        self.connect_timeout_s = connect_timeout_s
-        self.io_timeout_s = io_timeout_s
-        self.reconnect_attempts = reconnect_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_factor = backoff_factor
-        self.backoff_max_s = backoff_max_s
-        #: Degrade to the local multiprocess pool when every remote host
-        #: is lost (the bottom rung of the ladder; docs/distributed.md).
-        self.local_fallback = local_fallback
-        #: Optional :class:`repro.pool.faults.NetFaultPlan` injecting
-        #: deterministic network faults at the client's send path.
-        self.net_faults = net_faults
-        #: multiprocessing start method of the local-fallback pool.
-        self.context = context
-
-    @property
-    def workers(self) -> int:
-        """Total task credit across the topology (fixes the shard plan)."""
-        return sum(spec.workers for spec in self.hosts)
-
-    def _never(self, primitive: str) -> RuntimeError:
-        return RuntimeError(
-            f"DistributedBackend.{primitive} should never be called: "
-            "run_ensemble delegates distributed solves to "
-            "repro.pool.sharding.run_distributed_ensemble"
-        )
-
-    def open(self, adapter, seed, device_spec, timing=None) -> None:
-        raise self._never("open")
-
-    def alloc(self, shape, dtype, label: str = ""):
-        raise self._never("alloc")
-
-    def upload(self, buf, host) -> None:
-        raise self._never("upload")
-
-    def download(self, buf):
-        raise self._never("download")
-
-    def launch(self, kern, config, *args) -> None:
-        raise self._never("launch")
-
-    def synchronize(self) -> None:
-        raise self._never("synchronize")
-
-    def fitness_buffers(self):
-        raise self._never("fitness_buffers")
-
-
-#: Registered execution backends, keyed by the public ``backend=`` name.
+#: The backends that execute kernels, keyed by ``backend=`` name (the
+#: placed names are in :mod:`repro.core.engine.placement`).
 BACKENDS: dict[str, type[ExecutionBackend]] = {
     GpusimBackend.name: GpusimBackend,
     VectorizedBackend.name: VectorizedBackend,
-    MultiprocessBackend.name: MultiprocessBackend,
-    DistributedBackend.name: DistributedBackend,
 }
 
 DEFAULT_BACKEND = GpusimBackend.name

@@ -24,26 +24,29 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
 
 from repro.core.engine.adapters import ProblemAdapter, adapter_for
-from repro.core.engine.backends import (
-    DistributedBackend,
-    ExecutionBackend,
-    MultiprocessBackend,
-    create_backend,
-)
+from repro.core.engine.backends import ExecutionBackend, create_backend
+from repro.core.engine.placement import LOCAL, Placement, resolve_placement
 from repro.core.results import SolveResult
 from repro.gpusim.launch import Dim3, LaunchConfig
 from repro.initialization import initial_population
+from repro.problems.validation import validate_schedule
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.problems.cdd import CDDInstance
     from repro.problems.ucddcp import UCDDCPInstance
 
-__all__ = ["EnsembleStrategy", "run_ensemble", "assemble_result"]
+__all__ = [
+    "EnsembleStrategy",
+    "Trajectory",
+    "run_generations",
+    "run_ensemble",
+    "assemble_result",
+]
 
 
 def assemble_result(
@@ -100,7 +103,7 @@ class EnsembleStrategy(ABC):
     def shardable(self) -> bool:
         """Whether chains evolve independently (no cross-chain kernel reads).
 
-        The multiprocess backend may split a shardable ensemble into
+        A sharded placement may split a shardable ensemble into
         contiguous per-worker slices; an unshardable one (e.g. a variant
         that broadcasts state across the whole ensemble each generation)
         runs whole in a single worker.  See docs/parallel.md.
@@ -145,65 +148,92 @@ class EnsembleStrategy(ABC):
         return {"algorithm": self.algorithm}
 
 
+class Trajectory(NamedTuple):
+    """The elitist outcome of a generation loop (one shard's, or the
+    merged ensemble's).
+
+    ``ext_history`` has ``iterations + 1`` entries: entry 0 is the running
+    best right after ``initialize``, entry ``k`` the running best after
+    generation ``k - 1``.  The extra leading entry lets a shard merge
+    distinguish a best reached by the initial population from one reached
+    in generation 0 — both would show the same value at history index 0.
+    """
+
+    best_seq: np.ndarray
+    best_energy: float
+    ext_history: np.ndarray
+
+
+def run_generations(
+    strategy: EnsembleStrategy,
+    backend: ExecutionBackend,
+    adapter: ProblemAdapter,
+    init_seqs: np.ndarray,
+) -> Trajectory:
+    """Run every generation on an opened ``backend``: the local path
+    and every shard (:func:`repro.pool.worker.run_shard`) share this."""
+    config = strategy.config
+    cfg = LaunchConfig(
+        grid=Dim3(x=config.grid_size), block=Dim3(x=config.block_size)
+    )
+    strategy.allocate(backend, adapter, cfg)
+    backend.upload(strategy.seqs, init_seqs)
+    strategy.initialize(backend, cfg)
+
+    ext_history = np.empty(config.iterations + 1)
+    ext_history[0] = strategy.best_energy.array[0]
+    for it in range(config.iterations):
+        strategy.generation(backend, cfg, it)
+        backend.synchronize()
+        ext_history[it + 1] = strategy.best_energy.array[0]
+
+    backend.synchronize()
+    return Trajectory(
+        backend.download(strategy.best_seq).astype(np.intp),
+        float(backend.download(strategy.best_energy)[0]),
+        ext_history,
+    )
+
+
 def run_ensemble(
     instance: "CDDInstance | UCDDCPInstance",
     strategy: EnsembleStrategy,
     backend: str | ExecutionBackend = "gpusim",
+    placement: Placement | None = None,
 ) -> SolveResult:
-    """Run ``strategy`` on ``instance`` over the chosen execution backend."""
+    """Run ``strategy`` on ``instance`` over a backend and a placement
+    (``None``: resolved from the ``backend=`` name).  Sharded placements
+    run the generations in :func:`repro.pool.sharding.run_sharded`."""
     config = strategy.config
+    if placement is None:
+        backend, placement = resolve_placement(backend)
     exec_backend = create_backend(backend)
-    if isinstance(exec_backend, MultiprocessBackend):
-        # Driver-level backend: the solve is sharded across worker
-        # processes (bit-identical to the vectorized path; see
-        # docs/parallel.md) instead of driven through the primitives below.
-        from repro.pool.sharding import run_sharded_ensemble
-
-        return run_sharded_ensemble(instance, strategy, exec_backend)
-    if isinstance(exec_backend, DistributedBackend):
-        # Same driver-level delegation, shards dispatched to remote host
-        # agents (bit-identical to multiprocess for the same total worker
-        # count; see docs/distributed.md).
-        from repro.pool.sharding import run_distributed_ensemble
-
-        return run_distributed_ensemble(instance, strategy, exec_backend)
-
+    local = placement.kind == LOCAL
     adapter = adapter_for(instance)
-    pop = config.population
     host_rng = np.random.default_rng(config.seed)
     strategy.prepare(adapter, host_rng)
 
     device_spec = config.resolve_device_spec()
     start_wall = time.perf_counter()
-    exec_backend.open(
-        adapter, seed=config.seed, device_spec=device_spec,
-        timing=config.resolve_timing_model(),
-    )
-
-    cfg = LaunchConfig(
-        grid=Dim3(x=config.grid_size), block=Dim3(x=config.block_size)
-    )
-    strategy.allocate(exec_backend, adapter, cfg)
-
     init_seqs = initial_population(
-        instance, pop, host_rng, config.init
+        instance, config.population, host_rng, config.init
     ).astype(np.int32)
     init_seqs = strategy.prepare_population(init_seqs)
-    exec_backend.upload(strategy.seqs, init_seqs)
+    if local:
+        exec_backend.open(
+            adapter, seed=config.seed, device_spec=device_spec,
+            timing=config.resolve_timing_model(),
+        )
+        outcome = run_generations(strategy, exec_backend, adapter, init_seqs)
+        where = {"backend": exec_backend.name}
+    else:
+        from repro.pool.sharding import run_sharded
 
-    strategy.initialize(exec_backend, cfg)
-
-    history = np.empty(config.iterations) if config.record_history else None
-    for it in range(config.iterations):
-        strategy.generation(exec_backend, cfg, it)
-        exec_backend.synchronize()
-        if history is not None:
-            history[it] = strategy.best_energy.array[0]
-
-    exec_backend.synchronize()
-    final_seq = exec_backend.download(strategy.best_seq).astype(np.intp)
-    _ = exec_backend.download(strategy.best_energy)
-    final_seq, extra_evals = strategy.finalize(final_seq)
+        outcome, where = run_sharded(
+            instance, strategy, placement, init_seqs,
+            exec_backend.fault_plan,
+        )
+    final_seq, extra_evals = strategy.finalize(outcome.best_seq)
     wall = time.perf_counter() - start_wall
 
     params = strategy.params()
@@ -211,13 +241,20 @@ def run_ensemble(
     params["device_profile"] = (
         None if config.device_spec is not None else config.device_profile
     )
-    params["backend"] = exec_backend.name
-    return assemble_result(
+    params.update(where)
+    result = assemble_result(
         adapter,
         final_seq,
-        evaluations=(config.iterations + 1) * pop + extra_evals,
+        evaluations=(config.iterations + 1) * config.population + extra_evals,
         wall_time_s=wall,
-        history=history,
+        history=outcome.ext_history[1:] if config.record_history else None,
         params=params,
-        **exec_backend.timing_fields(),
+        **(exec_backend.timing_fields() if local else {}),
     )
+    if not local:
+        # Defense in depth: shard payloads already passed the transport
+        # digest; re-validate the merged solution with the independent
+        # checker so a corrupted-but-well-formed payload cannot become a
+        # silently wrong answer (a violation raises ScheduleError here).
+        validate_schedule(instance, result.schedule)
+    return result

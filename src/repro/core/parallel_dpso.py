@@ -46,6 +46,7 @@ from repro.core.engine.config import (
     check_probabilities,
 )
 from repro.core.engine.driver import EnsembleStrategy, run_ensemble
+from repro.core.engine.placement import Placement
 from repro.core.results import SolveResult
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.profiles import DEFAULT_PROFILE
@@ -256,6 +257,7 @@ def parallel_dpso(
     instance: CDDInstance | UCDDCPInstance,
     config: ParallelDPSOConfig = ParallelDPSOConfig(),
     backend: str | ExecutionBackend = "gpusim",
+    placement: Placement | None = None,
 ) -> SolveResult:
     """Run the GPU-parallel DPSO over the chosen execution backend."""
-    return run_ensemble(instance, ParallelDPSOStrategy(config), backend)
+    return run_ensemble(instance, ParallelDPSOStrategy(config), backend, placement)

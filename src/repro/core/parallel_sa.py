@@ -58,6 +58,7 @@ from repro.core.engine.config import (
     check_init_policy,
 )
 from repro.core.engine.driver import EnsembleStrategy, run_ensemble
+from repro.core.engine.placement import Placement
 from repro.core.results import SolveResult
 from repro.gpusim.device import DeviceSpec
 from repro.gpusim.profiles import DEFAULT_PROFILE
@@ -295,6 +296,7 @@ def parallel_sa(
     instance: CDDInstance | UCDDCPInstance,
     config: ParallelSAConfig = ParallelSAConfig(),
     backend: str | ExecutionBackend = "gpusim",
+    placement: Placement | None = None,
 ) -> SolveResult:
     """Run the GPU-parallel SA over the chosen execution backend.
 
@@ -302,4 +304,4 @@ def parallel_sa(
     measured host wall time; on the ``gpusim`` backend also the modeled
     device time (kernels plus all host<->device transfers).
     """
-    return run_ensemble(instance, ParallelSAStrategy(config), backend)
+    return run_ensemble(instance, ParallelSAStrategy(config), backend, placement)

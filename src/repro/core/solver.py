@@ -4,8 +4,10 @@ Downstream users interact with these classes: pick a problem instance,
 pick a method, get a fully reconstructed optimal-completion-time schedule.
 Methods are looked up in a registry (:data:`_BaseSolver._METHODS`), so the
 set of advertised methods cannot drift from the actual dispatch; parallel
-methods additionally accept ``backend="gpusim"|"vectorized"`` to pick the
-execution backend of :mod:`repro.core.engine.backends`.
+methods additionally accept ``backend="gpusim"|"vectorized"`` (what runs
+the kernels) or ``"multiprocess"|"distributed"`` (vectorized shards on
+worker processes or host agents, with the placement knobs of
+:mod:`repro.core.engine.placement`).
 
 >>> from repro import CDDSolver, biskup_instance
 >>> inst = biskup_instance(n=20, h=0.4, k=1)
@@ -24,12 +26,8 @@ import numpy as np
 
 from repro.core.dpso import DPSOConfig, dpso_serial
 from repro.core.engine.adapters import adapter_for
-from repro.core.engine.backends import (
-    DEFAULT_BACKEND,
-    DistributedBackend,
-    ExecutionBackend,
-    MultiprocessBackend,
-)
+from repro.core.engine.backends import DEFAULT_BACKEND
+from repro.core.engine.placement import PLACEMENT_KNOBS, resolve_placement
 from repro.core.evolution import EvolutionStrategyConfig, evolution_strategy
 from repro.core.parallel_dpso import ParallelDPSOConfig, parallel_dpso
 from repro.core.parallel_sa import ParallelSAConfig, parallel_sa
@@ -72,75 +70,14 @@ def _engine_method(config_cls: type, driver: Callable[..., SolveResult]):
     """A parallel method: config + engine driver with backend selection."""
 
     def run(solver: "_BaseSolver", **params: Any) -> SolveResult:
-        backend = params.pop("backend", DEFAULT_BACKEND)
-        workers = params.pop("workers", None)
-        hosts = params.pop("hosts", None)
-        supervision = {
-            key: params.pop(key)
-            for key in ("task_timeout", "task_retries", "pool_faults")
-            if key in params
-        }
-        distributed = {
-            key: params.pop(key)
-            for key in (
-                "net_faults", "local_fallback", "heartbeat_interval_s",
-                "heartbeat_timeout_s", "connect_timeout_s", "io_timeout_s",
-                "reconnect_attempts", "backoff_base_s", "backoff_factor",
-                "backoff_max_s",
-            )
-            if key in params
-        }
-        if backend == "distributed":
-            if hosts is None:
-                raise ValueError(
-                    "backend='distributed' requires "
-                    "hosts='HOST[:PORT]:WORKERS,...'"
-                )
-            if workers is not None:
-                raise ValueError(
-                    "workers= is fixed by the host topology for "
-                    "backend='distributed'; set per-host counts in hosts="
-                )
-            if "task_timeout" in supervision:
-                raise ValueError(
-                    "task_timeout is enforced agent-side for "
-                    "backend='distributed'; start agents with "
-                    "`repro agent --task-timeout`"
-                )
-            if "pool_faults" in supervision:
-                raise ValueError(
-                    "pool_faults applies to local worker pools; use "
-                    "net_faults for backend='distributed'"
-                )
-            backend = DistributedBackend(
-                hosts=hosts,
-                task_retries=supervision.get("task_retries", 0),
-                **distributed,
-            )
-        elif hosts is not None or distributed:
-            knob = "hosts=" if hosts is not None else (
-                f"{next(iter(distributed))}="
-            )
-            raise ValueError(
-                f"{knob} requires backend='distributed' "
-                f"(got backend={backend!r})"
-            )
-        elif workers is not None or supervision:
-            knob = "workers=" if workers is not None else (
-                f"{next(iter(supervision))}="
-            )
-            if backend == "multiprocess":
-                backend = MultiprocessBackend(workers=workers, **supervision)
-            elif isinstance(backend, ExecutionBackend):
-                raise ValueError(
-                    f"pass {knob} via the backend instance, not both"
-                )
-            else:
-                raise ValueError(
-                    f"{knob} requires backend='multiprocess' "
-                    f"(got backend={backend!r})"
-                )
-        return driver(solver.instance, config_cls(**params), backend=backend)
+        knobs = {k: params.pop(k) for k in PLACEMENT_KNOBS if k in params}
+        backend, placement = resolve_placement(
+            params.pop("backend", DEFAULT_BACKEND), knobs
+        )
+        return driver(
+            solver.instance, config_cls(**params),
+            backend=backend, placement=placement,
+        )
 
     return _MethodSpec(run=run, accepts_backend=True, config_cls=config_cls)
 
@@ -189,7 +126,10 @@ class _BaseSolver:
         ``serial_ta`` (Threshold Accepting), ``serial_es``
         ((mu+lambda) Evolutionary Strategy -- the [18]-style baselines) or
         ``exact`` (exhaustive / partition DP, small instances only).  The
-        parallel methods also take ``backend="gpusim"|"vectorized"``.
+        parallel methods also take ``backend="gpusim"|"vectorized"|
+        "multiprocess"|"distributed"`` and, for the last two, the
+        placement knobs that :func:`~repro.core.engine.placement.
+        resolve_placement` checks.
         """
         spec = self._METHODS.get(method)
         if spec is None:

@@ -208,7 +208,7 @@ class SyncAsyncAblation:
 
 
 def _syncasync_point_fn(n: int, variant: str, replicates: int,
-                        scale: ExperimentScale, backend):
+                        scale: ExperimentScale, engine):
     """Work-unit body: one SA variant's replicate mean at one size."""
 
     def run() -> dict:
@@ -226,7 +226,7 @@ def _syncasync_point_fn(n: int, variant: str, replicates: int,
                         variant=variant,
                         seed=seed,
                     ),
-                    backend=backend,
+                    **engine,
                 ).objective
             )
         return {"size": n, "variant": variant,
@@ -244,11 +244,11 @@ def run_sync_vs_async(
     scale = scale or get_scale()
     runner = runner or ResilientRunner()
     sizes = scale.sizes[: min(4, len(scale.sizes))]
-    backend = runner.solver_backend(prefer="vectorized")
+    engine = runner.solver_engine(prefer="vectorized")
     units = [
         WorkUnit(
             key=f"n{n}|{variant}",
-            run=_syncasync_point_fn(n, variant, replicates, scale, backend),
+            run=_syncasync_point_fn(n, variant, replicates, scale, engine),
         )
         for n in sizes
         for variant in ("async", "sync")
@@ -296,7 +296,7 @@ class CoolingAblation:
 
 
 def _cooling_point_fn(instance, mu: float, replicates: int,
-                      scale: ExperimentScale, backend):
+                      scale: ExperimentScale, engine):
     """Work-unit body of one cooling-rate point."""
 
     def run() -> dict:
@@ -313,7 +313,7 @@ def _cooling_point_fn(instance, mu: float, replicates: int,
                         cooling_rate=mu,
                         seed=seed,
                     ),
-                    backend=backend,
+                    **engine,
                 ).objective
             )
         return {"mu": mu, "objective": float(np.mean(vals))}
@@ -331,11 +331,11 @@ def run_cooling_ablation(
     runner = runner or ResilientRunner()
     n = scale.fig11_n
     instance = biskup_instance(n, 0.4, 1)
-    backend = runner.solver_backend(prefer="vectorized")
+    engine = runner.solver_engine(prefer="vectorized")
     units = [
         WorkUnit(
             key=f"mu{mu}",
-            run=_cooling_point_fn(instance, mu, replicates, scale, backend),
+            run=_cooling_point_fn(instance, mu, replicates, scale, engine),
         )
         for mu in scale.cooling_rates
     ]
@@ -485,7 +485,7 @@ class CouplingAblation:
 
 
 def _coupling_point_fn(n: int, coupling: str, replicates: int,
-                       scale: ExperimentScale, backend):
+                       scale: ExperimentScale, engine):
     """Work-unit body: one DPSO coupling's replicate mean at one size."""
 
     def run() -> dict:
@@ -505,7 +505,7 @@ def _coupling_point_fn(n: int, coupling: str, replicates: int,
                         coupling=coupling,
                         seed=seed,
                     ),
-                    backend=backend,
+                    **engine,
                 ).objective
             )
         return {"size": n, "coupling": coupling,
@@ -524,11 +524,11 @@ def run_coupling_ablation(
     runner = runner or ResilientRunner()
     sizes = scale.sizes[: min(4, len(scale.sizes))]
     couplings = ("async", "ring", "coupled")
-    backend = runner.solver_backend(prefer="vectorized")
+    engine = runner.solver_engine(prefer="vectorized")
     units = [
         WorkUnit(
             key=f"n{n}|{coupling}",
-            run=_coupling_point_fn(n, coupling, replicates, scale, backend),
+            run=_coupling_point_fn(n, coupling, replicates, scale, engine),
         )
         for n in sizes
         for coupling in couplings
@@ -583,7 +583,7 @@ class RefreshAblation:
 
 
 def _refresh_point_fn(instance, itv: int, replicates: int,
-                      scale: ExperimentScale, backend):
+                      scale: ExperimentScale, engine):
     """Work-unit body of one refresh-interval point."""
 
     def run() -> dict:
@@ -600,7 +600,7 @@ def _refresh_point_fn(instance, itv: int, replicates: int,
                         position_refresh=itv,
                         seed=seed,
                     ),
-                    backend=backend,
+                    **engine,
                 ).objective
             )
         return {"interval": itv, "objective": float(np.mean(vals))}
@@ -619,11 +619,11 @@ def run_refresh_ablation(
     runner = runner or ResilientRunner()
     n = scale.fig11_n
     instance = biskup_instance(n, 0.4, 1)
-    backend = runner.solver_backend(prefer="vectorized")
+    engine = runner.solver_engine(prefer="vectorized")
     units = [
         WorkUnit(
             key=f"interval{itv}",
-            run=_refresh_point_fn(instance, itv, replicates, scale, backend),
+            run=_refresh_point_fn(instance, itv, replicates, scale, engine),
         )
         for itv in intervals
     ]
@@ -673,7 +673,7 @@ class StrategyAblation:
 
 
 def _strategy_point_fn(n: int, variant: str, replicates: int,
-                       scale: ExperimentScale, backend):
+                       scale: ExperimentScale, engine):
     """Work-unit body: one parallelization strategy at one size."""
 
     def run() -> dict:
@@ -693,7 +693,7 @@ def _strategy_point_fn(n: int, variant: str, replicates: int,
                         variant=variant,
                         seed=seed,
                     ),
-                    backend=backend,
+                    **engine,
                 ).objective
             )
         return {"size": n, "variant": variant,
@@ -712,11 +712,11 @@ def run_strategy_ablation(
     runner = runner or ResilientRunner()
     sizes = tuple(n for n in scale.sizes if n >= 3)[: min(4, len(scale.sizes))]
     variants = ("async", "sync", "domain")
-    backend = runner.solver_backend(prefer="vectorized")
+    engine = runner.solver_engine(prefer="vectorized")
     units = [
         WorkUnit(
             key=f"n{n}|{variant}",
-            run=_strategy_point_fn(n, variant, replicates, scale, backend),
+            run=_strategy_point_fn(n, variant, replicates, scale, engine),
         )
         for n in sizes
         for variant in variants

@@ -207,7 +207,7 @@ def _cell_fn(
     label: str,
     scale: ExperimentScale,
     store: BestKnownStore,
-    backend,
+    engine: dict,
 ) -> Callable[[], dict]:
     """The work-unit body of one (instance, algorithm, budget) cell."""
 
@@ -227,7 +227,7 @@ def _cell_fn(
                     block_size=scale.block_size,
                     seed=seed,
                 ),
-                backend=backend,
+                **engine,
             )
         else:
             result = parallel_dpso(
@@ -238,7 +238,7 @@ def _cell_fn(
                     block_size=scale.block_size,
                     seed=seed,
                 ),
-                backend=backend,
+                **engine,
             )
         dev = (result.objective - z_best) / z_best * 100.0
         return asdict(DeviationRun(
@@ -293,7 +293,7 @@ def run_deviation_study(
     # A quality table: modeled device timings are not the measurement, so
     # solve on the fast vectorized backend (same trajectories bit-for-bit)
     # unless the user pinned one with --backend.
-    backend = runner.solver_backend(prefer="vectorized")
+    engine = runner.solver_engine(prefer="vectorized")
 
     units: list[WorkUnit] = []
     for n in sizes:
@@ -302,7 +302,7 @@ def run_deviation_study(
                 units.append(WorkUnit(
                     key=f"{inst.name}|{labels[j]}",
                     run=_cell_fn(inst, n, algo, iters, labels[j], scale,
-                                 store, backend),
+                                 store, engine),
                 ))
 
     checkpoint = runner.checkpoint_for(f"deviation_{problem}_{scale.name}")

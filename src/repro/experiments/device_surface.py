@@ -141,7 +141,7 @@ def _surface_cell_fn(
     iterations: int,
     scale: ExperimentScale,
     references: dict[int, float],
-    backend,
+    engine: dict,
 ):
     """Work-unit body of one (size, generation) cell."""
 
@@ -159,7 +159,7 @@ def _surface_cell_fn(
                 seed=31,
                 device_profile=profile_key,
             ),
-            backend=backend,
+            **engine,
         )
         assert result.modeled_device_time_s is not None
         return asdict(DeviceSurfaceCell(
@@ -201,7 +201,7 @@ def run_device_surface_study(
     )
 
     # The surface is *about* modeled timings: always solve on gpusim.
-    backend = runner.solver_backend("gpusim")
+    engine = runner.solver_engine("gpusim")
     references: dict[int, float] = {}
     units: list[WorkUnit] = []
     for n in scale.sizes:
@@ -214,7 +214,7 @@ def run_device_surface_study(
             units.append(WorkUnit(
                 key=f"{problem}_n{n}|{prof}",
                 run=_surface_cell_fn(instance, n, prof, iterations, scale,
-                                     references, backend),
+                                     references, engine),
             ))
 
     checkpoint = runner.checkpoint_for(

@@ -191,7 +191,7 @@ def _speedup_cell_fn(
     label: str,
     scale: ExperimentScale,
     references: dict[int, float],
-    backend,
+    engine: dict,
     device_profile: str = DEFAULT_PROFILE,
 ):
     """Work-unit body of one (size, algorithm) timing cell.
@@ -222,7 +222,7 @@ def _speedup_cell_fn(
                     seed=31,
                     device_profile=device_profile,
                 ),
-                backend=backend,
+                **engine,
             )
         else:
             result = parallel_dpso(
@@ -234,7 +234,7 @@ def _speedup_cell_fn(
                     seed=31,
                     device_profile=device_profile,
                 ),
-                backend=backend,
+                **engine,
             )
         wall = time.perf_counter() - start
         assert result.modeled_device_time_s is not None
@@ -285,7 +285,7 @@ def run_speedup_study(
         device_profile=device_profile, device_name=profile.spec.name,
     )
     # Speedups are *about* the modeled device: always solve on gpusim.
-    backend = runner.solver_backend("gpusim")
+    engine = runner.solver_engine("gpusim")
     references: dict[int, float] = {}
     variants = (
         ("sa", scale.iterations_low),
@@ -305,7 +305,7 @@ def run_speedup_study(
             units.append(WorkUnit(
                 key=f"{problem}_n{n}|{labels[j]}",
                 run=_speedup_cell_fn(instance, n, algo, iters, labels[j],
-                                     scale, references, backend,
+                                     scale, references, engine,
                                      device_profile),
             ))
 

@@ -79,7 +79,6 @@ from repro.pool.net import (
     HostSpec,
     client_socket,
     encode_frame,
-    parse_host_specs,
     read_frame,
     send_frame,
     send_json_frame,
@@ -137,9 +136,9 @@ class HostPool:
     Parameters
     ----------
     hosts:
-        The topology: a ``HOST[:PORT]:WORKERS,...`` string or a sequence
-        of :class:`~repro.pool.net.HostSpec`.  Worker counts are task
-        credits per host; their sum is the pool's total parallelism.
+        The topology, one :class:`~repro.pool.net.HostSpec` per agent.
+        Worker counts are task credits per host; their sum is the pool's
+        total parallelism.
     task_retries:
         Retry budget for *task* failures reported by an agent (child
         crash/timeout, corrupt frame, undecodable result).  Host-loss
@@ -159,7 +158,7 @@ class HostPool:
 
     def __init__(
         self,
-        hosts: str | Sequence[HostSpec],
+        hosts: Sequence[HostSpec],
         *,
         task_retries: int = 0,
         heartbeat_interval_s: float = 2.0,
@@ -175,7 +174,7 @@ class HostPool:
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        specs = parse_host_specs(hosts) if isinstance(hosts, str) else tuple(hosts)
+        specs = tuple(hosts)
         if not specs:
             raise ValueError("HostPool needs at least one host spec")
         check_retries(task_retries, "task_retries")
@@ -199,11 +198,6 @@ class HostPool:
         self.fault_delay_s = fault_delay_s
         self._clock = clock
         self._sleep = sleep
-
-    @property
-    def workers(self) -> int:
-        """Total task credit across the topology (fixes the shard plan)."""
-        return sum(spec.workers for spec in self.hosts)
 
     # -- core: completion-ordered iteration -----------------------------
 

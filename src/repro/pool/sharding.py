@@ -1,4 +1,4 @@
-"""Bit-identical ensemble sharding — the ``multiprocess`` backend's engine.
+"""Bit-identical ensemble sharding — the engine of every sharded placement.
 
 The chain ensemble of :func:`repro.core.engine.driver.run_ensemble` is
 embarrassingly parallel whenever no kernel reads another chain's state:
@@ -29,33 +29,27 @@ just without intra-solve parallelism.
 from __future__ import annotations
 
 import dataclasses
-import time
 import warnings
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.engine.adapters import adapter_for
-from repro.core.engine.backends import DistributedBackend, MultiprocessBackend
-from repro.initialization import initial_population
+from repro.core.engine.driver import Trajectory
+from repro.core.engine.placement import HOSTS, Placement
 from repro.pool.errors import AllHostsLostError
 from repro.pool.executor import ProcessPool, default_workers
-from repro.pool.net import format_host_specs
-from repro.pool.worker import ShardResult, run_shard
-from repro.problems.validation import validate_schedule
+from repro.pool.worker import run_shard
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.engine.adapters import ProblemAdapter
     from repro.core.engine.driver import EnsembleStrategy
-    from repro.core.results import SolveResult
     from repro.problems.cdd import CDDInstance
     from repro.problems.ucddcp import UCDDCPInstance
+    from repro.resilience.faults import FaultPlan
 
 __all__ = [
     "ShardPlan",
     "plan_shards",
-    "run_sharded_ensemble",
-    "run_distributed_ensemble",
+    "run_sharded",
 ]
 
 
@@ -133,7 +127,7 @@ def _build_shard_tasks(
 
 
 def _collect_shards(
-    shards: list[ShardResult | None],
+    shards: list[Trajectory | None],
     outcomes: Iterator[tuple[int, str, Any]],
     indices: Sequence[int] | None = None,
 ) -> None:
@@ -150,14 +144,7 @@ def _collect_shards(
         shards[indices[index] if indices is not None else index] = value
 
 
-def _merge_shards(
-    instance: "CDDInstance | UCDDCPInstance",
-    strategy: "EnsembleStrategy",
-    adapter: "ProblemAdapter",
-    results: Sequence[ShardResult],
-    start_wall: float,
-    params: dict[str, Any],
-) -> "SolveResult":
+def _merge_shards(results: Sequence[Trajectory]) -> Trajectory:
     """Merge shard results bit-identically to the elitist reduction.
 
     Reproduces the reduction's tie-breaks (strict improvement, earliest
@@ -167,11 +154,8 @@ def _merge_shards(
     shard contains the lowest tied global thread.  Identical regardless
     of which transport (local pool or remote hosts) ran the shards.
     """
-    from repro.core.engine.driver import assemble_result
 
-    config = strategy.config
-
-    def first_round(shard: ShardResult) -> int:
+    def first_round(shard: Trajectory) -> int:
         return int(np.nonzero(shard.ext_history == shard.best_energy)[0][0])
 
     winner = min(
@@ -181,140 +165,78 @@ def _merge_shards(
     merged_ext = results[0].ext_history.copy()
     for shard in results[1:]:
         np.minimum(merged_ext, shard.ext_history, out=merged_ext)
-    history = merged_ext[1:] if config.record_history else None
-
-    final_seq, extra_evals = strategy.finalize(results[winner].best_seq)
-    wall = time.perf_counter() - start_wall
-
-    params = dict(params)
-    params["device_spec"] = config.resolve_device_spec().name
-    params["device_profile"] = (
-        None if config.device_spec is not None else config.device_profile
-    )
-    result = assemble_result(
-        adapter,
-        final_seq,
-        evaluations=(config.iterations + 1) * config.population + extra_evals,
-        wall_time_s=wall,
-        history=history,
-        params=params,
-    )
-    # Defense in depth: shard payloads already passed the transport digest;
-    # re-validate the merged solution with the independent checker so a
-    # corrupted-but-well-formed payload cannot become a silently wrong
-    # answer (a violation raises ScheduleError here, at the merge).
-    validate_schedule(instance, result.schedule)
-    return result
+    return results[winner]._replace(ext_history=merged_ext)
 
 
-def _prepare_ensemble(
+def run_sharded(
     instance: "CDDInstance | UCDDCPInstance",
     strategy: "EnsembleStrategy",
-    workers: int | None,
-) -> tuple["ProblemAdapter", ShardPlan, np.ndarray, float]:
-    """Host-global setup shared by the pooled runners: the host RNG
-    (``prepare`` + full initial population with the global-row-indexed
-    ``prepare_population`` hook) and the shard plan for ``workers``."""
-    config = strategy.config
-    adapter = adapter_for(instance)
-    host_rng = np.random.default_rng(config.seed)
-    strategy.prepare(adapter, host_rng)
+    placement: Placement,
+    init_seqs: np.ndarray,
+    fault_plan: "FaultPlan | None" = None,
+) -> tuple[Trajectory, dict[str, Any]]:
+    """Run an ensemble's generations sharded across ``placement``'s pool,
+    with ``fault_plan`` armed in every shard; the merged trajectory and
+    the placement's ``SolveResult.params`` entries.
 
-    start_wall = time.perf_counter()
+    The caller (:func:`repro.core.engine.driver.run_ensemble`) owns the
+    host RNG, the initial population ``init_seqs`` and ``finalize``.  The
+    plan depends only on ``placement.workers``, so ``hosts`` solves are
+    bit-identical to ``processes`` ones with the same total.
+    """
+    config = strategy.config
     plan = plan_shards(
         config.grid_size,
         config.block_size,
-        workers,
+        placement.workers,
         shardable=strategy.shardable,
         algorithm=strategy.algorithm,
     )
-    init_seqs = initial_population(
-        instance, config.population, host_rng, config.init
-    ).astype(np.int32)
-    init_seqs = strategy.prepare_population(init_seqs)
-    return adapter, plan, init_seqs, start_wall
-
-
-def run_sharded_ensemble(
-    instance: "CDDInstance | UCDDCPInstance",
-    strategy: "EnsembleStrategy",
-    backend: MultiprocessBackend,
-) -> "SolveResult":
-    """Run one ensemble solve sharded across local worker processes.
-
-    The parent owns everything that is host-global in the unsharded run:
-    the host RNG, the shard merge, and ``finalize`` on the merged best.
-    Workers own the generation loop for their slice
-    (:func:`repro.pool.worker.run_shard`).
-    """
-    adapter, plan, init_seqs, start_wall = _prepare_ensemble(
-        instance, strategy, backend.workers
-    )
     tasks, labels = _build_shard_tasks(
-        instance, strategy, plan, init_seqs, backend.fault_plan
+        instance, strategy, plan, init_seqs, fault_plan
     )
-    shards: list[ShardResult | None] = [None] * len(tasks)
-    pool = ProcessPool(
-        workers=len(tasks),
-        context=backend.context,
-        task_timeout=backend.task_timeout,
-        task_retries=backend.task_retries,
-        fault_plan=backend.pool_faults,
-    )
-    _collect_shards(shards, pool.imap_unordered(tasks, labels=labels))
+    shards: list[Trajectory | None] = [None] * len(tasks)
+    pending: Sequence[int] = range(len(tasks))
+    workers, pool_kwargs = len(tasks), placement.pool_kwargs()
+    if placement.kind == HOSTS:
+        # Whatever the hosts could not finish re-runs on a plain local
+        # pool (empty unless every host was lost and local_fallback).
+        pending = _run_on_hosts(shards, tasks, labels, placement)
+        workers, pool_kwargs = min(len(pending), default_workers()), {}
+    if pending:
+        pool = ProcessPool(
+            workers=workers, context=placement.context, **pool_kwargs
+        )
+        _collect_shards(
+            shards,
+            pool.imap_unordered(
+                [tasks[i] for i in pending],
+                labels=[labels[i] for i in pending],
+            ),
+            indices=pending,
+        )
     results = [s for s in shards if s is not None]
     assert len(results) == len(tasks)
-
-    params = strategy.params()
-    params["backend"] = backend.name
-    params["workers"] = len(results)
-    return _merge_shards(
-        instance, strategy, adapter, results, start_wall, params
-    )
+    return _merge_shards(results), placement.result_params(len(results))
 
 
-def run_distributed_ensemble(
-    instance: "CDDInstance | UCDDCPInstance",
-    strategy: "EnsembleStrategy",
-    backend: DistributedBackend,
-) -> "SolveResult":
-    """Run one ensemble solve sharded across remote host agents.
-
-    The shard plan is fixed by the topology's *total* worker count, and
-    shard results do not depend on where they ran, so the merged result
-    is bit-identical to ``backend="multiprocess"`` with the same total —
-    through reconnects, host failover, and (when ``local_fallback`` is
-    on) complete loss of every remote, where the unfinished shards are
-    deterministically re-run on a local :class:`ProcessPool`.
-    """
+def _run_on_hosts(
+    shards: list[Trajectory | None],
+    tasks: list[tuple[Callable[..., Any], tuple]],
+    labels: list[str],
+    placement: Placement,
+) -> list[int]:
+    """Fill ``shards`` from remote agents; the indices left unfinished
+    when every host is lost and ``local_fallback`` is on."""
     from repro.pool.hosts import HostPool
 
-    adapter, plan, init_seqs, start_wall = _prepare_ensemble(
-        instance, strategy, backend.workers
-    )
-    tasks, labels = _build_shard_tasks(
-        instance, strategy, plan, init_seqs, backend.fault_plan
-    )
-    shards: list[ShardResult | None] = [None] * len(tasks)
-    host_pool = HostPool(
-        backend.hosts,
-        task_retries=backend.task_retries,
-        heartbeat_interval_s=backend.heartbeat_interval_s,
-        heartbeat_timeout_s=backend.heartbeat_timeout_s,
-        connect_timeout_s=backend.connect_timeout_s,
-        io_timeout_s=backend.io_timeout_s,
-        reconnect_attempts=backend.reconnect_attempts,
-        backoff_base_s=backend.backoff_base_s,
-        backoff_factor=backend.backoff_factor,
-        backoff_max_s=backend.backoff_max_s,
-        net_faults=backend.net_faults,
-    )
+    host_pool = HostPool(placement.hosts, **placement.pool_kwargs())
     try:
         _collect_shards(
             shards, host_pool.imap_unordered(tasks, labels=labels)
         )
     except AllHostsLostError as exc:
-        if not backend.local_fallback:
+        if not placement.local_fallback:
             raise
         remaining = [i for i, s in enumerate(shards) if s is None]
         warnings.warn(
@@ -322,27 +244,7 @@ def run_distributed_ensemble(
             f"{len(remaining)} unfinished shard(s) — results are "
             "unaffected (shard re-runs are bit-identical)",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        fallback = ProcessPool(
-            workers=min(len(remaining), default_workers()),
-            context=backend.context,
-        )
-        _collect_shards(
-            shards,
-            fallback.imap_unordered(
-                [tasks[i] for i in remaining],
-                labels=[labels[i] for i in remaining],
-            ),
-            indices=remaining,
-        )
-    results = [s for s in shards if s is not None]
-    assert len(results) == len(tasks)
-
-    params = strategy.params()
-    params["backend"] = backend.name
-    params["workers"] = len(results)
-    params["hosts"] = format_host_specs(backend.hosts)
-    return _merge_shards(
-        instance, strategy, adapter, results, start_wall, params
-    )
+        return remaining
+    return []

@@ -30,11 +30,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
+from repro.core.engine.backends import DEFAULT_BACKEND, create_backend
 from repro.core.engine.config import (
     RetryPolicyMixin,
     check_timeout,
     check_workers,
 )
+from repro.core.engine.placement import resolve_placement
 from repro.gpusim.errors import (
     DeviceUnavailableError,
     LaunchTimeoutError,
@@ -188,9 +190,10 @@ class ResilientRunner:
         Optional :class:`FaultPlan` threaded into every backend/device the
         studies create through this runner (test/CI fault injection).
     backend:
-        Execution backend name the studies should solve on; ``None`` (the
+        ``backend=`` name the studies should solve on; ``None`` (the
         default) lets each study pick its own preference (see
-        :meth:`solver_backend`).
+        :meth:`solver_engine`).  A name that cannot run without placement
+        knobs (``"distributed"`` needs hosts) is refused here.
     workers:
         Default worker-process count for :meth:`run_units`; ``None`` or 1
         keeps the serial in-process loop.
@@ -228,6 +231,8 @@ class ResilientRunner:
         )
         self.resume = resume
         self.fault_plan = fault_plan
+        if backend is not None:
+            resolve_placement(backend)
         self.backend = backend
         check_workers(workers)
         check_timeout(task_timeout_s, "task_timeout_s")
@@ -254,28 +259,31 @@ class ResilientRunner:
             )
         return self._stores[study_id]
 
-    def solver_backend(self, name: str | None = None, *,
-                       prefer: str | None = None):
-        """What the studies should pass as ``backend=`` to the solvers.
+    def solver_engine(self, name: str | None = None, *,
+                      prefer: str | None = None) -> dict[str, Any]:
+        """The ``backend=``/``placement=`` kwargs studies pass to the
+        parallel drivers.
 
         Resolution order: an explicit ``name`` (a study that *needs* a
         specific backend, e.g. the speedup table needs modeled timings),
         then the runner's configured ``backend`` (the user's ``--backend``),
         then the study's ``prefer`` (e.g. ``"vectorized"`` for quality
         studies where modeled timings are not the measurement), then the
-        registry default.
+        registry default.  The name is split into kernel backend and
+        placement by :func:`~repro.core.engine.placement.resolve_placement`.
 
-        Without a fault plan this is just the backend *name* (each solve
+        Without a fault plan the backend is just a *name* (each solve
         creates its own backend -- byte-identical to the pre-resilience
         behavior).  With a plan, a shared backend instance carries the
-        plan's cumulative fault counters across units and retries.
+        plan's cumulative fault counters across units and retries, and a
+        sharded placement arms it in every shard.
         """
-        from repro.core.engine.backends import DEFAULT_BACKEND, create_backend
-
-        resolved = name or self.backend or prefer or DEFAULT_BACKEND
-        if self.fault_plan is None:
-            return resolved
-        return create_backend(resolved, fault_plan=self.fault_plan)
+        backend, placement = resolve_placement(
+            name or self.backend or prefer or DEFAULT_BACKEND
+        )
+        if self.fault_plan is not None:
+            backend = create_backend(backend, fault_plan=self.fault_plan)
+        return {"backend": backend, "placement": placement}
 
     # ------------------------------------------------------------------
     # Aggregate state across run_units calls (the CLI reads these)

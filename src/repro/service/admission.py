@@ -27,8 +27,13 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Mapping
 
-from repro.core.engine.backends import BACKENDS
-from repro.core.engine.config import check_retries, check_timeout
+from repro.core.engine.config import check_timeout
+from repro.core.engine.placement import (
+    ENGINE_BACKENDS,
+    PLACEMENT_KNOBS,
+    knobs_for,
+    resolve_placement,
+)
 from repro.core.solver import (
     method_accepts_backend,
     method_config_cls,
@@ -51,20 +56,15 @@ class ValidationError(ValueError):
     """A request the service refuses to queue (HTTP 400)."""
 
 
-#: Execution knobs owned by the server's policy, not by requests.  A
-#: client that could set worker counts, host topologies, supervision
-#: budgets or fault plans per request could degrade service for every
-#: other client — and none of these affect the *result*, so they must
-#: never reach the cache key either.  (``backend`` is deliberately not
-#: here: the engine backend is the top-level request field, and the name
-#: ``backend`` inside ``config`` is ``serial_sa``'s evaluator selector.)
-RESERVED_CONFIG_KEYS = frozenset({
-    "workers", "hosts", "task_timeout", "task_retries", "pool_faults",
-    "net_faults", "local_fallback", "heartbeat_interval_s",
-    "heartbeat_timeout_s", "connect_timeout_s", "io_timeout_s",
-    "reconnect_attempts", "backoff_base_s", "backoff_factor",
-    "backoff_max_s",
-})
+#: Execution knobs owned by the server's policy, not by requests: every
+#: placement knob.  A client that could set worker counts, host
+#: topologies, supervision budgets or fault plans per request could
+#: degrade service for every other client — and none of these affect the
+#: *result*, so they must never reach the cache key either.  (``backend``
+#: is deliberately not here: the engine backend is the top-level request
+#: field, and the name ``backend`` inside ``config`` is ``serial_sa``'s
+#: evaluator selector.)
+RESERVED_CONFIG_KEYS = frozenset(PLACEMENT_KNOBS)
 
 _REQUEST_FIELDS = frozenset({
     "instance", "method", "config", "backend", "deadline_s",
@@ -89,7 +89,7 @@ class AdmissionPolicy:
     429 with ``Retry-After: retry_after_s``.  ``default_backend`` is the
     engine backend used when a request names none; ``hosts`` is the
     distributed topology (``None`` = ``backend="distributed"`` requests
-    are refused).
+    are refused, and so is that backend as the default).
     """
 
     queue_cap: int = 16
@@ -113,11 +113,22 @@ class AdmissionPolicy:
                 f"max_body_bytes must be >= 1, got {self.max_body_bytes}"
             )
         check_timeout(self.retry_after_s, "retry_after_s")
-        if self.default_backend not in BACKENDS:
+        if self.default_backend not in ENGINE_BACKENDS:
             raise ValueError(
                 f"unknown default_backend {self.default_backend!r}; "
-                f"choose from {tuple(BACKENDS)}"
+                f"choose from {ENGINE_BACKENDS}"
             )
+        self.placement_knobs(self.default_backend)
+
+    def placement_knobs(self, backend: str) -> dict[str, Any]:
+        """The server-owned placement knobs a solve on ``backend`` runs
+        with; ``ValueError`` when the server cannot place it."""
+        knobs = knobs_for(backend, dict(hosts=self.hosts))
+        try:
+            resolve_placement(backend, knobs)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (repro serve --hosts)") from None
+        return knobs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,7 +168,7 @@ def _parse_instance(body: Mapping[str, Any]) -> Any:
             "(kind 'cdd' or 'ucddcp')"
         )
     kind = data.get("kind", "cdd")
-    from_dict = _INSTANCE_KINDS.get(kind)
+    from_dict = _INSTANCE_KINDS.get(kind) if isinstance(kind, str) else None
     if from_dict is None:
         raise ValidationError(
             f"unknown instance kind {kind!r}; choose from "
@@ -235,18 +246,18 @@ def validate_request(
             "by the service (set them server-side: repro serve --help)"
         )
     backend = body.get("backend")
-    if backend is not None and backend not in BACKENDS:
+    if backend is not None and backend not in ENGINE_BACKENDS:
         raise ValidationError(
-            f"unknown backend {backend!r}; choose from {tuple(BACKENDS)}"
+            f"unknown backend {backend!r}; choose from {ENGINE_BACKENDS}"
         )
+    placement_knobs: dict[str, Any] = {}
     if method_accepts_backend(method):
         if backend is None:
             backend = policy.default_backend
-        if backend == "distributed" and policy.hosts is None:
-            raise ValidationError(
-                "backend 'distributed' requires the service to be "
-                "started with --hosts"
-            )
+        try:
+            placement_knobs = policy.placement_knobs(backend)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from exc
     elif backend is not None:
         raise ValidationError(
             f"method {method!r} runs on the host and takes no engine "
@@ -282,8 +293,7 @@ def validate_request(
     solve_kwargs = dict(config)
     if method_accepts_backend(method):
         solve_kwargs["backend"] = backend
-        if backend == "distributed":
-            solve_kwargs["hosts"] = policy.hosts
+        solve_kwargs.update(placement_knobs)
     return ValidatedJob(
         instance=instance,
         method=method,

@@ -40,6 +40,18 @@ class TestParser:
         assert args.inject_fault == "launch:40:transient"
         assert args.backend == "vectorized"
 
+    def test_experiment_offers_only_backends_it_can_run(self, capsys):
+        # `experiment` has no --hosts, so a distributed solve could never
+        # start there; argparse refuses the choice up front.
+        with pytest.raises(SystemExit) as info:
+            main(["experiment", "table2", "--backend", "distributed"])
+        assert info.value.code == 2
+        assert "invalid choice: 'distributed'" in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["experiment", "table2", "--backend", "multiprocess"]
+        )
+        assert args.backend == "multiprocess"
+
     def test_experiment_resilience_defaults(self):
         args = build_parser().parse_args(["experiment", "table2"])
         assert not args.resume

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.engine.backends import DistributedBackend, create_backend
+from repro.core.engine.placement import HOSTS, Placement, resolve_placement
 from repro.core.solver import solver_for
 from repro.instances.biskup import biskup_instance
 from repro.pool.agent import HostAgent, spawn_local_agent
@@ -205,23 +205,18 @@ class TestFailover:
 class TestBackendConstruction:
     def test_backend_requires_host_topology(self):
         with pytest.raises(ValueError, match="host topology"):
-            DistributedBackend()
+            Placement(HOSTS)
         with pytest.raises(ValueError, match="host topology"):
-            create_backend("distributed")
+            resolve_placement("distributed")
 
     def test_backend_parses_topology_string(self):
-        backend = DistributedBackend(hosts="a:4,b:7471:8")
+        _, backend = resolve_placement("distributed", {"hosts": "a:4,b:7471:8"})
         assert backend.workers == 12
         assert [spec.workers for spec in backend.hosts] == [4, 8]
 
     def test_backend_accepts_spec_sequence(self):
-        backend = DistributedBackend(hosts=[HostSpec("a", 7000, 2)])
+        backend = Placement(HOSTS, hosts=[HostSpec("a", 7000, 2)])
         assert backend.workers == 2
-
-    def test_backend_primitives_never_run_locally(self):
-        backend = DistributedBackend(hosts="a:1")
-        with pytest.raises(RuntimeError, match="run_distributed_ensemble"):
-            backend.open(None, seed=0, device_spec=None)
 
 
 class TestFacadeValidation:

@@ -18,7 +18,6 @@ import pytest
 from repro.core.engine import (
     BACKENDS,
     GpusimBackend,
-    MultiprocessBackend,
     VectorizedBackend,
     adapter_for,
     create_backend,
@@ -173,17 +172,11 @@ class TestModeledTimingStability:
 
 class TestBackendRegistry:
     def test_registry_contents(self):
-        assert set(BACKENDS) == {
-            "gpusim",
-            "vectorized",
-            "multiprocess",
-            "distributed",
-        }
+        assert set(BACKENDS) == {"gpusim", "vectorized"}
 
     def test_create_by_name(self):
         assert isinstance(create_backend("gpusim"), GpusimBackend)
         assert isinstance(create_backend("vectorized"), VectorizedBackend)
-        assert isinstance(create_backend("multiprocess"), MultiprocessBackend)
 
     def test_create_passthrough_instance(self):
         backend = VectorizedBackend()

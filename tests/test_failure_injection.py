@@ -276,6 +276,38 @@ class TestInjectedFaults:
             fired[backend] = (plan.fired, study.report.failed[0].key)
         assert fired["gpusim"] == fired["vectorized"]
 
+    @pytest.mark.parametrize(
+        "kind, attempts, error",
+        [("transient", 3, "DeviceUnavailableError"),
+         ("fatal", 1, "InvalidLaunchError")],
+    )
+    def test_fault_plan_reaches_multiprocess_shards(self, kind, attempts,
+                                                    error):
+        """A runner's device fault plan is armed inside every shard.
+
+        Each shard process receives its own copy of the plan at the
+        parent's counters, so a launch-indexed fault fires in the shards
+        on every attempt: transients exhaust the retry budget, fatals fail
+        at once, and the parent's copy never records a firing.
+        """
+        from repro.experiments.ablation import run_sync_vs_async
+        from repro.experiments.config import SCALES
+        from repro.resilience import FaultPlan, FaultSpec
+
+        plan = FaultPlan([FaultSpec(op="launch", at=5, kind=kind)])
+        study = run_sync_vs_async(
+            SCALES["smoke"], replicates=1,
+            runner=self._runner(plan, backend="multiprocess"),
+        )
+        report = study.report
+        assert not report.completed
+        assert len(report.failed) == len(report.outcomes) == 4
+        for outcome in report.failed:
+            assert outcome.attempts == attempts
+            assert outcome.error_kind == kind
+            assert outcome.error.startswith(error)
+        assert plan.fired == []
+
 
 class TestSolverInputFailures:
     def test_solver_rejects_bad_config_before_any_work(self, paper_cdd):

@@ -15,8 +15,10 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.core.engine.backends import MultiprocessBackend, create_backend
+from repro.core.engine.backends import VectorizedBackend
 from repro.core.engine.config import check_workers
+from repro.core.engine.placement import PROCESSES, Placement
+from repro.core.parallel_sa import ParallelSAConfig, parallel_sa
 from repro.core.solver import CDDSolver, UCDDCPSolver, solve_many, solver_for
 from repro.core.threshold import ThresholdAcceptingConfig, threshold_accepting
 from repro.instances.biskup import biskup_instance
@@ -107,8 +109,9 @@ class TestShardingDeterminism:
                                    **SA_FAST)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            backend = MultiprocessBackend(workers=2, context="spawn")
-            r = CDDSolver(cdd).solve("parallel_sa", backend=backend, **SA_FAST)
+            placement = Placement(PROCESSES, workers=2, context="spawn")
+            r = parallel_sa(cdd, ParallelSAConfig(**SA_FAST),
+                            backend="vectorized", placement=placement)
         assert r.objective == ref.objective
         assert np.array_equal(r.best_sequence, ref.best_sequence)
 
@@ -147,9 +150,9 @@ class TestWorkersKnob:
                                  block_size=4)
 
     def test_workers_alongside_backend_instance_rejected(self, cdd):
-        with pytest.raises(ValueError, match="backend instance"):
+        with pytest.raises(ValueError, match="multiprocess"):
             CDDSolver(cdd).solve(
-                "parallel_sa", backend=MultiprocessBackend(), workers=2,
+                "parallel_sa", backend=VectorizedBackend(), workers=2,
                 iterations=2, grid_size=1, block_size=4,
             )
 
@@ -166,17 +169,11 @@ class TestWorkersKnob:
 
     def test_backend_ctor_validates_workers(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            MultiprocessBackend(workers=0)
+            Placement(PROCESSES, workers=0)
 
     def test_runner_ctor_validates_workers(self):
         with pytest.raises(ValueError, match="workers must be >= 1"):
             ResilientRunner(workers=0)
-
-    def test_create_backend_by_name(self):
-        backend = create_backend("multiprocess")
-        assert isinstance(backend, MultiprocessBackend)
-        with pytest.raises(RuntimeError, match="never be called"):
-            backend.synchronize()
 
 
 class TestShardPlan:

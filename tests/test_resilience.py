@@ -433,13 +433,13 @@ class TestResilientRunner:
 
     def test_solver_backend_without_plan_is_name(self):
         runner, _ = _instant_runner()
-        assert runner.solver_backend() == "gpusim"
-        assert runner.solver_backend("vectorized") == "vectorized"
+        assert runner.solver_engine()["backend"] == "gpusim"
+        assert runner.solver_engine("vectorized")["backend"] == "vectorized"
 
     def test_solver_backend_with_plan_carries_it(self):
         plan = FaultPlan([FaultSpec(op="launch", at=1)])
         runner, _ = _instant_runner(fault_plan=plan)
-        backend = runner.solver_backend("vectorized")
+        backend = runner.solver_engine("vectorized")["backend"]
         assert backend.fault_plan is plan
 
     def test_footnote_empty_on_clean_run(self):

@@ -11,6 +11,7 @@ import urllib.request
 
 import pytest
 
+from repro.core.engine.placement import PLACEMENT_KNOBS
 from repro.core.solver import solver_for
 from repro.instances import biskup_instance
 from repro.pool.faults import PoolFaultPlan, parse_pool_fault
@@ -100,12 +101,13 @@ class TestValidation:
                 dict(body, config={"iterationz": 10}), POLICY
             )
 
-    def test_reserved_execution_knobs_are_refused(self, body):
+    @pytest.mark.parametrize("knob", PLACEMENT_KNOBS)
+    def test_reserved_execution_knobs_are_refused(self, body, knob):
         with pytest.raises(ValidationError, match="execution knobs"):
-            validate_request(dict(body, config={"workers": 64}), POLICY)
-        with pytest.raises(ValidationError, match="execution knobs"):
+            validate_request(dict(body, config={knob: 1}), POLICY)
+        with pytest.raises(ValidationError, match=knob):
             validate_request(
-                dict(body, config={"hosts": "evil:1"}), POLICY
+                dict(body, method="parallel_sa", config={knob: 1}), POLICY
             )
 
     def test_serial_methods_take_no_engine_backend(self, body):
@@ -131,6 +133,16 @@ class TestValidation:
         allowed = AdmissionPolicy(hosts="localhost:7471:2")
         validated = validate_request(request, allowed)
         assert validated.solve_kwargs["hosts"] == "localhost:7471:2"
+
+    def test_distributed_default_backend_needs_hosts(self, capsys):
+        with pytest.raises(ValueError, match="--hosts"):
+            AdmissionPolicy(default_backend="distributed")
+        AdmissionPolicy(default_backend="distributed", hosts="h:1")
+        from repro.cli import main
+
+        assert main(["serve", "--backend", "distributed",
+                     "--cache-dir", "none"]) == 2
+        assert "--hosts" in capsys.readouterr().err
 
     def test_exact_takes_no_config(self, instance):
         with pytest.raises(ValidationError, match="takes no config"):
@@ -434,6 +446,25 @@ class TestHTTPLayer:
             ) as response:
                 raw.append(response.read())
         assert raw[0] == raw[1]
+
+    @pytest.mark.parametrize("route", ["/v1/submit", "/v1/batch"])
+    @pytest.mark.parametrize("mangle", [
+        lambda body: dict(body, method="parallel_sa", backend=[]),
+        lambda body: dict(body, method="parallel_sa", backend={"a": 1}),
+        lambda body: dict(body, instance=dict(body["instance"], kind=[1])),
+    ], ids=["backend-list", "backend-object", "kind-list"])
+    def test_unhashable_fields_are_400(self, served, body, route, mangle):
+        bad = mangle(body)
+        code, doc, _ = http_call(
+            served, "POST", route,
+            bad if route == "/v1/submit" else {"jobs": [bad]},
+        )
+        if route == "/v1/batch":
+            assert code == 200
+            doc = doc["jobs"][0]
+            code = doc["status"]
+        assert code == 400
+        assert doc["error_type"] == "validation"
 
     def test_unknown_route_is_404(self, served):
         assert http_call(served, "GET", "/v2/nope")[0] == 404
