@@ -457,6 +457,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.parallel_sa import ParallelSAConfig, parallel_sa
     from repro.gpusim.profiles import get_profile
+    from repro.seqopt import native
 
     profile = get_profile(args.device_profile)
     inst = biskup_instance(args.jobs, 0.4, 1)
@@ -467,6 +468,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     print(f"instance: {inst.name}")
     print(f"device:   {profile.spec.name} [{args.device_profile}, "
           f"{profile.generation}]")
+    fitness = native.describe()
+    print(f"fitness:  {fitness['fitness_impl']}"
+          f" ({fitness['fitness_library'] or 'NumPy closed form'})")
     print(result.summary())
     # The profiler lives on the device created inside parallel_sa; repeat a
     # short run with an explicit device to show the kernel breakdown.

@@ -8,9 +8,12 @@ then runs the O(n) algorithm of [7] (CDD) or [8] (UCDDCP) on the thread's
 own job sequence.  "The processing times of the jobs are not cached because
 there are only a few reads from it inside the fitness function."
 
-Numerically the whole ensemble is evaluated with the batched routines of
-:mod:`repro.seqopt.batched` -- exactly the computation every thread performs,
-vectorized over the thread axis.
+Numerically the whole ensemble is evaluated by the compiled rows of
+:mod:`repro.seqopt.native` -- one C loop per sequence row, exactly the
+program every thread runs -- under both execution backends.  Where no
+compiled library is available the kernel gathers the staged arrays and
+calls the bit-identical NumPy closed form of :mod:`repro.seqopt.batched`
+(through this module's names, so the fallback can be wrapped here).
 
 Cost model (calibrated against the paper's published GT 560M runtimes, see
 EXPERIMENTS.md): the dominant term is linear in ``n``.  ``CDD_CYCLES_PER_JOB``
@@ -20,8 +23,8 @@ divergence and uncoalesced-gather penalties of the real device.
 
 from __future__ import annotations
 
-
 from repro.gpusim.kernel import Kernel, KernelCost, ThreadContext, kernel
+from repro.seqopt import native
 from repro.seqopt.batched import (
     batched_cdd_from_gathered,
     batched_ucddcp_from_gathered,
@@ -118,8 +121,12 @@ def make_cdd_fitness_kernel(use_texture: bool = False) -> Kernel:
         ctx.syncthreads()
         d = float(ctx.constant["due_date"])
         s = seqs.array[: ctx.total_threads]
-        out.array[: ctx.total_threads] = batched_cdd_from_gathered(
-            p.array[s], a.array[s], b.array[s], d
+        obj = native.cdd_rows(s, p.array, a.array, b.array, d)
+        out.array[: ctx.total_threads] = (
+            obj if obj is not None
+            else batched_cdd_from_gathered(
+                p.array[s], a.array[s], b.array[s], d
+            )
         )
 
     return fitness_cdd
@@ -139,8 +146,14 @@ def make_ucddcp_fitness_kernel(use_texture: bool = False) -> Kernel:
         ctx.syncthreads()
         d = float(ctx.constant["due_date"])
         s = seqs.array[: ctx.total_threads]
-        out.array[: ctx.total_threads] = batched_ucddcp_from_gathered(
-            p.array[s], m.array[s], a.array[s], b.array[s], g.array[s], d
+        obj = native.ucddcp_rows(
+            s, p.array, m.array, a.array, b.array, g.array, d
+        )
+        out.array[: ctx.total_threads] = (
+            obj if obj is not None
+            else batched_ucddcp_from_gathered(
+                p.array[s], m.array[s], a.array[s], b.array[s], g.array[s], d
+            )
         )
 
     return fitness_ucddcp

@@ -422,6 +422,7 @@ _BLOCKING_CALLS = {
     "select.select": "an I/O wait",
     "repro.resilience.atomic.durable_append_text": "an fsync'd append",
     "repro.resilience.atomic.atomic_write_text": "an fsync'd write",
+    "repro.resilience.atomic.atomic_write_bytes": "an fsync'd write",
 }
 
 #: Blocking methods keyed by the receiver's statically-known type.

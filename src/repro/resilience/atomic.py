@@ -27,8 +27,8 @@ import tempfile
 from pathlib import Path
 
 __all__ = [
-    "append_text", "atomic_write_text", "durable_append_text",
-    "fsync_path",
+    "append_text", "atomic_write_bytes", "atomic_write_text",
+    "durable_append_text", "fsync_path",
 ]
 
 
@@ -111,14 +111,23 @@ def atomic_write_text(path: Path | str, text: str) -> None:
     power loss.  On any failure the temporary file is removed and the
     destination is untouched.
     """
+    _atomic_write(path, text, "w")
+
+
+def atomic_write_bytes(path: Path | str, data: bytes) -> None:
+    """:func:`atomic_write_text` for a binary payload."""
+    _atomic_write(path, data, "wb")
+
+
+def _atomic_write(path: Path | str, payload: str | bytes, mode: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, mode) as handle:
+            handle.write(payload)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_name, path)

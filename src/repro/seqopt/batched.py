@@ -20,6 +20,12 @@ optimal due-date position is ``r = min(tau, max{k : B_k >= A_{k-1}})``
 (or 0 -- keep the start-at-zero schedule -- when ``B_{tau+1} >= A_tau``),
 and the optimal schedule is the initial one shifted right by
 ``d - C_init[r]``.  Everything is O(S*n) with no Python-level loops.
+
+The ``*_objective`` entry points (and the fitness kernels) run the compiled
+twin of these routines, :mod:`repro.seqopt.native`, when it is available;
+the NumPy code here is its fallback and its reference.  Every reduction
+is therefore written in a pinned order (prefix sums and left-to-right row
+sums, never ``einsum``) that the C code mirrors bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from repro.seqopt import native
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.problems.cdd import CDDInstance
@@ -48,6 +56,15 @@ def gather_sequences(values: np.ndarray, sequences: np.ndarray) -> np.ndarray:
     shape ``(S, n)`` (a fancy-indexing broadcast, no copy of ``values``).
     """
     return values[sequences]
+
+
+def _row_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``sum(x * y)`` per row, added left to right from the first term.
+
+    The order is pinned (``einsum`` picks its own) so that the compiled
+    rows of :mod:`repro.seqopt.native` can mirror it bit for bit.
+    """
+    return np.cumsum(x * y, axis=1)[:, -1]
 
 
 # ----------------------------------------------------------------------
@@ -110,23 +127,34 @@ def batched_cdd_from_gathered(
 
     early = np.maximum(0.0, d - completion)
     tardy = np.maximum(0.0, completion - d)
-    obj = np.einsum("ij,ij->i", a_seq, early) + np.einsum(
-        "ij,ij->i", b_seq, tardy
-    )
+    obj = _row_sum(a_seq, early) + _row_sum(b_seq, tardy)
     if return_completions:
         return obj, completion, r
     return obj
+
+
+def _sequence_matrix(
+    instance: "CDDInstance | UCDDCPInstance", sequences: np.ndarray
+) -> np.ndarray:
+    seqs = np.asarray(sequences, dtype=np.intp)
+    if seqs.ndim != 2 or seqs.shape[1] != instance.n:
+        raise ValueError(
+            f"sequences must have shape (S, {instance.n}), got {seqs.shape}"
+        )
+    return np.ascontiguousarray(seqs)
 
 
 def batched_cdd_objective(
     instance: "CDDInstance", sequences: np.ndarray
 ) -> np.ndarray:
     """Optimal CDD objective for each row of the ``(S, n)`` sequence matrix."""
-    seqs = np.asarray(sequences, dtype=np.intp)
-    if seqs.ndim != 2 or seqs.shape[1] != instance.n:
-        raise ValueError(
-            f"sequences must have shape (S, {instance.n}), got {seqs.shape}"
-        )
+    seqs = _sequence_matrix(instance, sequences)
+    obj = native.cdd_rows(
+        seqs, instance.processing, instance.alpha, instance.beta,
+        instance.due_date,
+    )
+    if obj is not None:
+        return obj
     return batched_cdd_from_gathered(
         instance.processing[seqs],
         instance.alpha[seqs],
@@ -189,9 +217,8 @@ def batched_ucddcp_from_gathered(
     early = np.maximum(0.0, d - completion)
     tardy = np.maximum(0.0, completion - d)
     obj = (
-        np.einsum("ij,ij->i", a_seq, early)
-        + np.einsum("ij,ij->i", b_seq, tardy)
-        + np.einsum("ij,ij->i", g_seq, reduction)
+        _row_sum(a_seq, early) + _row_sum(b_seq, tardy)
+        + _row_sum(g_seq, reduction)
     )
     if return_details:
         return obj, completion, reduction, r
@@ -202,11 +229,13 @@ def batched_ucddcp_objective(
     instance: "UCDDCPInstance", sequences: np.ndarray
 ) -> np.ndarray:
     """Optimal UCDDCP objective for each row of the sequence matrix."""
-    seqs = np.asarray(sequences, dtype=np.intp)
-    if seqs.ndim != 2 or seqs.shape[1] != instance.n:
-        raise ValueError(
-            f"sequences must have shape (S, {instance.n}), got {seqs.shape}"
-        )
+    seqs = _sequence_matrix(instance, sequences)
+    obj = native.ucddcp_rows(
+        seqs, instance.processing, instance.min_processing, instance.alpha,
+        instance.beta, instance.gamma, instance.due_date,
+    )
+    if obj is not None:
+        return obj
     return batched_ucddcp_from_gathered(
         instance.processing[seqs],
         instance.min_processing[seqs],

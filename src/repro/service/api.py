@@ -17,7 +17,8 @@ GET       ``/v1/jobs/{id}/result`` result document (409 unfinished, 500
                                    failed with the structured error)
 GET       ``/healthz``             ``starting``/``ok``/``draining``/
                                    ``degraded`` + queue depth
-GET       ``/metrics``             counters, job states, cache + journal stats
+GET       ``/metrics``             counters, job states, cache + journal
+                                   stats, fitness implementation
 ========  =======================  ==========================================
 
 Responses are canonical JSON (sorted keys), which is what makes a cache
@@ -44,6 +45,7 @@ from repro.core.engine.config import check_retries, check_timeout
 from repro.pool.faults import PoolFaultPlan
 from repro.pool.worker import solve_one
 from repro.problems.validation import ScheduleError, validate_schedule
+from repro.seqopt import native
 from repro.service.admission import (
     AdmissionPolicy,
     ValidatedJob,
@@ -532,6 +534,10 @@ class SchedulingService:
                 }
                 if self.journal is not None else None
             ),
+            # Which fitness implementation this process evaluates with.
+            # Results are bit-identical either way, so it is reported
+            # here and never stored in a result document.
+            "fitness": native.describe(),
         }
         return 200, doc, {}
 
