@@ -471,6 +471,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     fitness = native.describe()
     print(f"fitness:  {fitness['fitness_impl']}"
           f" ({fitness['fitness_library'] or 'NumPy closed form'})")
+    print("kernels:  " + ", ".join(
+        f"{name} {impl}" for name, impl in native.describe_kernels().items()))
     print(result.summary())
     # The profiler lives on the device created inside parallel_sa; repeat a
     # short run with an explicit device to show the kernel breakdown.

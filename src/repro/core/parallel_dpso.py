@@ -60,6 +60,7 @@ from repro.permutation import (
 )
 from repro.problems.cdd import CDDInstance
 from repro.problems.ucddcp import UCDDCPInstance
+from repro.seqopt import native
 
 __all__ = ["ParallelDPSOConfig", "ParallelDPSOStrategy", "parallel_dpso"]
 
@@ -102,7 +103,9 @@ def _make_update_kernel(w: float, c1: float, c2: float, coupling: str) -> Kernel
     ("async", an isolated swarm of one, matching the SA-style asynchronous
     parallelization), the best personal-best among the thread's ring
     neighbours ("ring", lbest topology), or the reduced swarm best
-    ("coupled").
+    ("coupled").  The attractor is chosen in NumPy; the three operators
+    then run as the compiled rows of :mod:`repro.seqopt.native` when they
+    are loaded, else as the batched NumPy operators (the reference).
     """
 
     def _cost(ctx: ThreadContext, seqs, pbest, pbest_fit, gbest) -> KernelCost:
@@ -123,16 +126,10 @@ def _make_update_kernel(w: float, c1: float, c2: float, coupling: str) -> Kernel
     def dpso_update(ctx: ThreadContext, seqs, pbest, pbest_fit, gbest) -> None:
         """Apply ``c2 (+) F3(c1 (+) F2(w (+) F1(x), pbest), gbest)``."""
         s = ctx.total_threads
-        tids = ctx.thread_ids
         rng = ctx.rng
         x = seqs.array[:s]
-        mask_w = rng.uniform(tids) < w
-        x = batched_random_swap(rng, tids, x, mask_w)
-        mask_c1 = rng.uniform(tids) < c1
-        x = batched_one_point_crossover(rng, tids, x, pbest.array[:s], mask_c1)
-        mask_c2 = rng.uniform(tids) < c2
         if coupling == "coupled":
-            g = np.broadcast_to(gbest.array, x.shape)
+            g = gbest.array
         elif coupling == "ring":
             # lbest: the best pbest among ring neighbours {t-1, t, t+1}.
             fit = pbest_fit.array[:s]
@@ -146,6 +143,15 @@ def _make_update_kernel(w: float, c1: float, c2: float, coupling: str) -> Kernel
             g = pbest.array[:s][neighbour]
         else:
             g = pbest.array[:s]
+        if native.dpso_update_rows(rng, x, pbest.array[:s], g, w, c1, c2):
+            return
+        tids = ctx.thread_ids
+        mask_w = rng.uniform(tids) < w
+        x = batched_random_swap(rng, tids, x, mask_w)
+        mask_c1 = rng.uniform(tids) < c1
+        x = batched_one_point_crossover(rng, tids, x, pbest.array[:s], mask_c1)
+        mask_c2 = rng.uniform(tids) < c2
+        g = np.broadcast_to(g, x.shape)
         x = batched_two_point_crossover(rng, tids, x, g, mask_c2)
         seqs.array[:s] = x
 

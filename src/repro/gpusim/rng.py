@@ -76,6 +76,15 @@ class DeviceRNG:
         self._counter = np.uint64(self._counter + np.uint64(1))
         return c
 
+    def reserve(self, rounds: int) -> tuple[int, int]:
+        """Issue ``rounds`` draw rounds at once and return ``(seed,
+        first_counter)``: a compiled kernel then computes round
+        ``first_counter + r`` (mod 2**64) inline exactly as :meth:`raw`
+        would have."""
+        first = int(self._counter)
+        self._counter = np.uint64((first + rounds) & 0xFFFFFFFFFFFFFFFF)
+        return int(self._seed), first
+
     def raw(self, thread_ids: np.ndarray) -> np.ndarray:
         """One uint64 per thread for the next draw round."""
         tids = np.asarray(thread_ids, dtype=np.uint64)
@@ -160,6 +169,11 @@ class OffsetRNG:
             return (
                 np.asarray(thread_ids, dtype=np.uint64) + self._offset
             ).astype(np.uint64)
+
+    def reserve(self, rounds: int) -> tuple[int, int]:
+        """:meth:`DeviceRNG.reserve` of the wrapped generator; the caller
+        adds :attr:`offset` to its thread ids."""
+        return self._inner.reserve(rounds)
 
     def raw(self, thread_ids: np.ndarray) -> np.ndarray:
         return self._inner.raw(self._shift(thread_ids))

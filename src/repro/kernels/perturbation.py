@@ -12,16 +12,20 @@ the kernel re-samples each thread's ``Pert`` distinct positions into the
 positions.  The SA driver controls the refresh cadence
 (``position_refresh``; Section VI's "after every 10 SA iterations" reading
 versus the per-iteration default -- see ``ParallelSAConfig``).
+
+The body runs the compiled rows of :mod:`repro.seqopt.native` when they
+are loaded (the draws computed inline, bit-identical); the batched NumPy
+operators of :mod:`repro.permutation` are the reference and the fallback.
 """
 
 from __future__ import annotations
-
 
 from repro.gpusim.kernel import Kernel, KernelCost, ThreadContext, kernel
 from repro.permutation import (
     batched_partial_fisher_yates,
     batched_sample_distinct,
 )
+from repro.seqopt import native
 
 __all__ = ["make_perturbation_kernel"]
 
@@ -55,6 +59,11 @@ def make_perturbation_kernel() -> Kernel:
                      min_position=0) -> None:
         """``cand[t] = fisher_yates_at(seqs[t], positions[t])``."""
         s = ctx.total_threads
+        if native.perturb_rows(
+            ctx.rng, seqs.array[:s], cand.array[:s], positions.array[:s],
+            refresh, min_position,
+        ):
+            return
         n = seqs.array.shape[1]
         k = positions.array.shape[1]
         if refresh:

@@ -1,4 +1,5 @@
-"""The compiled fitness rows: the O(n) closed forms in C, one row per chain.
+"""The compiled rows: the O(n) closed forms and the ensemble operators in
+C, one row per chain.
 
 ``fitness_rows.c`` (shipped beside this module) walks each row of the
 integer sequence matrix once -- prefix sums with the gather fused in,
@@ -33,6 +34,23 @@ cannot answer natively -- no library, or inputs outside the fast path
 per-job arrays, an empty row width) -- so that the caller's NumPy path
 handles them and raises exactly what it always raised.  An out-of-range
 job index raises NumPy's own ``IndexError`` message.
+
+Operator rows
+-------------
+``operator_rows.c`` is compiled into the same library.  It holds the SA
+perturbation and the DPSO position update with the counter RNG of
+:class:`repro.gpusim.rng.DeviceRNG` computed inline, one row per thread
+(:func:`perturb_rows`, :func:`dpso_update_rows`).  A launch reserves its
+counter rounds up front with :meth:`DeviceRNG.reserve` -- the same number
+of rounds, in the same order, as the NumPy operators of
+:mod:`repro.permutation` draw -- so counters, shard offsets and results
+do not depend on which implementation ran.  Whether the fast path applies
+is decided before any round is reserved; off it (no library, other
+dtypes or layouts, more than :data:`PERT_CAP` positions, a DPSO row of
+one job, a sample larger than the free positions) the functions return
+``False`` and the caller's NumPy operators run and raise as they always
+did.  The Metropolis acceptance stays in NumPy: ``np.exp`` and libm
+``exp`` need not agree to the last ulp, and one ulp can flip a decision.
 """
 
 from __future__ import annotations
@@ -53,29 +71,52 @@ from typing import Any, Iterator, cast
 
 import numpy as np
 
+from repro.gpusim.rng import DeviceRNG, OffsetRNG
+
 __all__ = [
     "CFLAGS",
+    "ENTRY_POINTS",
+    "KERNELS",
     "NativeRows",
     "active",
     "cdd_rows",
     "describe",
+    "describe_kernels",
+    "dpso_update_rows",
     "find_compiler",
     "library",
     "load",
+    "perturb_rows",
     "ucddcp_rows",
     "use",
 ]
 
 SOURCE = Path(__file__).with_name("fitness_rows.c")
+#: Every C file of the library; the cache key covers all of them.
+SOURCES = (SOURCE, Path(__file__).with_name("operator_rows.c"))
+#: The symbols a loaded library must export.
+ENTRY_POINTS = (
+    "cdd_rows_i32", "cdd_rows_i64", "ucddcp_rows_i32", "ucddcp_rows_i64",
+    "rng_rows", "perturb_rows", "dpso_update_rows",
+)
+#: The kernels the library runs natively, as reported to operators.
+KERNELS = ("fitness", "perturbation", "dpso_update")
+#: Most perturbation positions per row the C rows take (``PERT_CAP``).
+PERT_CAP = 64
+#: Counter rounds one DPSO update draws: the w gate, swap i and j, the c1
+#: gate, the cut, the c2 gate and the two crossover points.
+DPSO_ROUNDS = 8
 CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 #: Seconds one compile may take before the build is abandoned.
 BUILD_TIMEOUT_S = 60.0
 
 _INDEX_TYPES = {np.dtype(np.int32): "i32", np.dtype(np.int64): "i64"}
+_RNG_KINDS = {"raw": (0, np.uint64), "uniform": (1, np.float64),
+              "randint": (2, np.int64)}
 
 
 class NativeRows:
-    """One loaded copy of the compiled fitness library."""
+    """One loaded copy of the compiled library."""
 
     def __init__(self, path: Path) -> None:
         self.path = path
@@ -94,6 +135,20 @@ class NativeRows:
                                ptr, ctypes.c_double, ptr]
             ucddcp.restype = ctypes.c_int64
             self._ucddcp[suffix] = ucddcp
+        u64, i64 = ctypes.c_uint64, ctypes.c_int64
+        self._rng_rows = lib.rng_rows
+        self._rng_rows.argtypes = [u64, u64, u64, size, ctypes.c_int, i64,
+                                   u64, ptr]
+        self._rng_rows.restype = None
+        self._perturb = lib.perturb_rows
+        self._perturb.argtypes = [ptr, ptr, ptr, size, size, size,
+                                  ctypes.c_int, i64, u64, u64, u64]
+        self._perturb.restype = i64
+        self._dpso = lib.dpso_update_rows
+        self._dpso.argtypes = [ptr, ptr, ptr, size, size, size,
+                               ctypes.c_double, ctypes.c_double,
+                               ctypes.c_double, u64, u64, u64]
+        self._dpso.restype = i64
 
     def rows(
         self, family: str, sequences: np.ndarray,
@@ -131,13 +186,122 @@ class NativeRows:
             raise MemoryError("fitness rows: cannot allocate row scratch")
         return out
 
+    def rng_rows(
+        self, rng: DeviceRNG | OffsetRNG, rows: int, kind: str,
+        low: int = 0, high: int = 0,
+    ) -> np.ndarray:
+        """One draw round of ``rng`` for threads ``0..rows-1`` computed in
+        C: ``kind`` is ``raw``, ``uniform`` or ``randint`` in
+        ``[low, high)``, matching the :class:`DeviceRNG` method."""
+        code, dtype = _RNG_KINDS[kind]
+        if kind == "randint" and high <= low:
+            raise ValueError(f"empty range [{low}, {high})")
+        seed, counter, tid0 = _reserve(rng, 1)
+        out = np.empty(rows, dtype=dtype)
+        self._rng_rows(seed, counter, tid0, rows, code, low,
+                       (high - low) & _U64, out.ctypes.data)
+        return out
+
+    def perturb(
+        self, rng: object, seqs: np.ndarray, cand: np.ndarray,
+        positions: np.ndarray, refresh: bool, min_position: int,
+    ) -> bool:
+        """The perturbation kernel body in C; ``False`` off the fast path
+        (nothing drawn or written then)."""
+        rows, n = seqs.shape if seqs.ndim == 2 else (-1, -1)
+        k = positions.shape[1] if positions.ndim == 2 else -1
+        if not (
+            _fits(seqs, np.int32, (rows, n)) and _fits(cand, np.int32, (rows, n))
+            and _fits(positions, np.int64, (rows, k))
+            and 0 <= k <= PERT_CAP and 0 <= min_position
+            and (not refresh or k <= n - min_position)
+            and _is_device_rng(rng)
+        ):
+            return False
+        rounds = (k if refresh else 0) + max(k - 1, 0)
+        seed, counter, tid0 = _reserve(rng, rounds)
+        status = self._perturb(
+            seqs.ctypes.data, cand.ctypes.data, positions.ctypes.data,
+            rows, n, k, bool(refresh), min_position, seed, counter, tid0,
+        )
+        if status > 0:
+            bad = int(positions.reshape(-1)[status - 1])
+            raise IndexError(
+                f"index {bad} is out of bounds for axis 1 with size {n}"
+            )
+        if status < 0:
+            raise MemoryError("perturbation rows: no row scratch")
+        return True
+
+    def dpso_update(
+        self, rng: object, x: np.ndarray, pbest: np.ndarray,
+        social: np.ndarray, w: float, c1: float, c2: float,
+    ) -> bool:
+        """The DPSO update kernel body in C, in place on ``x``; ``social``
+        is one attractor row per thread or one broadcast row.  ``False``
+        off the fast path (nothing drawn or written then)."""
+        rows, n = x.shape if x.ndim == 2 else (-1, -1)
+        broadcast = social.ndim == 1
+        if not (
+            n >= 2 and _fits(x, np.int32, (rows, n))
+            and _fits(pbest, np.int32, (rows, n))
+            and _fits(social, np.int32, (n,) if broadcast else (rows, n))
+            and not np.may_share_memory(x, pbest)
+            and not np.may_share_memory(x, social)
+            and _is_device_rng(rng)
+        ):
+            return False
+        seed, counter, tid0 = _reserve(rng, DPSO_ROUNDS)
+        status = self._dpso(
+            x.ctypes.data, pbest.ctypes.data, social.ctypes.data,
+            0 if broadcast else n, rows, n, float(w), float(c1), float(c2),
+            seed, counter, tid0,
+        )
+        if status > 0:
+            entry = status - 1
+            for arr in (x, pbest, social):
+                if entry < arr.size:
+                    break
+                entry -= arr.size
+            bad = int(arr.reshape(-1)[entry])
+            raise IndexError(
+                f"index {bad} is out of bounds for axis 1 with size {n}"
+            )
+        if status < 0:
+            raise MemoryError("dpso update rows: no row scratch")
+        return True
+
+
+_U64 = (1 << 64) - 1
+
+
+def _fits(arr: np.ndarray, dtype: type, shape: tuple[int, ...]) -> bool:
+    """Can C read ``arr`` as a dense ``shape`` array of ``dtype``?"""
+    return (arr.dtype == dtype and arr.shape == shape
+            and arr.flags.c_contiguous)
+
+
+def _is_device_rng(rng: object) -> bool:
+    return type(rng) in (DeviceRNG, OffsetRNG)
+
+
+def _reserve(rng: DeviceRNG | OffsetRNG, rounds: int) -> tuple[int, int, int]:
+    """``(seed, first counter, thread id of row 0)`` for ``rounds`` rounds
+    reserved on ``rng``."""
+    seed, counter = rng.reserve(rounds)
+    return seed, counter, rng.offset if isinstance(rng, OffsetRNG) else 0
+
 
 # -- build cache -------------------------------------------------------
 
 
-def cache_key(source: bytes, flags: tuple[str, ...] = CFLAGS) -> str:
-    """sha256 of the source, the compiler flags and the machine type."""
-    digest = hashlib.sha256(source)
+def cache_key(sources: tuple[bytes, ...],
+              flags: tuple[str, ...] = CFLAGS) -> str:
+    """sha256 of every source file, the compiler flags and the machine
+    type."""
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(hashlib.sha256(source).digest())
     for part in (*flags, platform.machine()):
         digest.update(b"\0" + part.encode())
     return digest.hexdigest()[:32]
@@ -184,7 +348,7 @@ def _build(compiler: str, target: Path) -> None:
     with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
         built = Path(tmp) / target.name
         subprocess.run(
-            [compiler, *CFLAGS, "-o", str(built), str(SOURCE)],
+            [compiler, *CFLAGS, "-o", str(built), *map(str, SOURCES)],
             check=True, capture_output=True, timeout=BUILD_TIMEOUT_S,
         )
         atomic_write_bytes(target, built.read_bytes())
@@ -197,13 +361,13 @@ def load(
     it there first when it is missing and ``compiler`` is given; ``None``
     when no directory yields a loadable library."""
     try:
-        key = cache_key(SOURCE.read_bytes())
+        key = cache_key(tuple(path.read_bytes() for path in SOURCES))
     except OSError:
         return None
     for directory in dirs if dirs is not None else cache_dirs():
         if not _prepare_dir(directory):
             continue
-        target = directory / f"fitness_rows-{key}.so"
+        target = directory / f"native_rows-{key}.so"
         try:
             if not target.exists():
                 if compiler is None:
@@ -213,7 +377,7 @@ def load(
             if not stat.S_ISREG(st.st_mode) or st.st_uid != os.geteuid():
                 continue
             return NativeRows(target)
-        except (OSError, subprocess.SubprocessError):
+        except (OSError, AttributeError, subprocess.SubprocessError):
             continue
     return None
 
@@ -264,6 +428,36 @@ def describe() -> dict[str, str | None]:
         "fitness_impl": "numpy" if lib is None else "native",
         "fitness_library": None if lib is None else str(lib.path),
     }
+
+
+def describe_kernels() -> dict[str, str]:
+    """``native``/``numpy`` per kernel of :data:`KERNELS`: which kernel
+    bodies run the compiled rows here.  Operator-facing, like
+    :func:`describe`; never part of a result document."""
+    impl = "numpy" if active() is None else "native"
+    return {name: impl for name in KERNELS}
+
+
+def perturb_rows(
+    rng: object, seqs: np.ndarray, cand: np.ndarray, positions: np.ndarray,
+    refresh: bool, min_position: int,
+) -> bool:
+    """Run the perturbation kernel body natively; ``False`` means "use
+    NumPy" (nothing was drawn or written)."""
+    lib = active()
+    return lib is not None and lib.perturb(
+        rng, seqs, cand, positions, refresh, min_position)
+
+
+def dpso_update_rows(
+    rng: object, x: np.ndarray, pbest: np.ndarray, social: np.ndarray,
+    w: float, c1: float, c2: float,
+) -> bool:
+    """Run the DPSO update kernel body natively, in place on ``x``;
+    ``False`` means "use NumPy" (nothing was drawn or written)."""
+    lib = active()
+    return lib is not None and lib.dpso_update(
+        rng, x, pbest, social, w, c1, c2)
 
 
 def cdd_rows(

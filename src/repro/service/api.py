@@ -534,10 +534,12 @@ class SchedulingService:
                 }
                 if self.journal is not None else None
             ),
-            # Which fitness implementation this process evaluates with.
-            # Results are bit-identical either way, so it is reported
-            # here and never stored in a result document.
+            # Which fitness implementation this process evaluates with,
+            # and which kernel bodies run compiled.  Results are
+            # bit-identical either way, so it is reported here and never
+            # stored in a result document.
             "fitness": native.describe(),
+            "kernels": native.describe_kernels(),
         }
         return 200, doc, {}
 

@@ -15,10 +15,12 @@ clean NumPy fallback.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -322,6 +324,50 @@ class TestSolveParity:
             assert fast.modeled_device_time_s == ref.modeled_device_time_s
         assert "fitness_impl" not in fast.params
 
+    # Every coupling and variant the compiled operators serve, and the
+    # stored positions of position_refresh.
+    VARIANTS = {
+        "dpso-ring": ("parallel_dpso", dict(coupling="ring")),
+        "dpso-coupled": ("parallel_dpso", dict(coupling="coupled")),
+        "sa-domain": ("parallel_sa", dict(variant="domain")),
+        "sa-sync": ("parallel_sa", dict(variant="sync",
+                                        sync_segment_length=7)),
+        "sa-refresh-10": ("parallel_sa", dict(position_refresh=10)),
+    }
+
+    @pytest.mark.parametrize("backend", ["gpusim", "vectorized"])
+    @pytest.mark.parametrize("name", sorted(VARIANTS))
+    def test_variant_solves_identical(self, lib, name, backend):
+        method, extra = self.VARIANTS[name]
+        solver = CDDSolver(biskup_instance(n=30, h=0.4, k=1))
+
+        def solve():
+            return solver.solve(method, backend=backend, record_history=True,
+                                **extra, **self.FAST)
+
+        fast, ref = both(lib, solve)
+        assert _comparable(fast) == _comparable(ref)
+        assert fast.history is not None and len(fast.history) > 1
+        assert fast.modeled_device_time_s == ref.modeled_device_time_s
+
+    @pytest.mark.parametrize("method", ["parallel_sa", "parallel_dpso"])
+    def test_processes_placement_matches_the_numpy_reference(self, lib,
+                                                             method):
+        """Native shard processes (offset RNG views) against the NumPy
+        operators on one local ensemble."""
+        solver = CDDSolver(biskup_instance(n=30, h=0.4, k=1))
+        with native.use(lib), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fast = solver.solve(method, backend="multiprocess", workers=2,
+                                record_history=True, **self.FAST)
+        with native.use(None):
+            ref = solver.solve(method, backend="vectorized",
+                               record_history=True, **self.FAST)
+        assert fast.params["workers"] == 2
+        fast_doc, ref_doc = _comparable(fast), _comparable(ref)
+        fast_doc.pop("params"), ref_doc.pop("params")
+        assert fast_doc == ref_doc
+
 
 # ----------------------------------------------------------------------
 # Build cache
@@ -337,6 +383,11 @@ def test_native_loads_when_a_compiler_is_present():
         )
         assert info["fitness_impl"] == "native"
         assert Path(info["fitness_library"]).is_file()
+        loaded = ctypes.CDLL(info["fitness_library"])
+        missing = [name for name in native.ENTRY_POINTS
+                   if not hasattr(loaded, name)]
+        assert not missing, f"the native library lacks {missing}"
+        assert set(native.describe_kernels().values()) == {"native"}
     else:
         assert info["fitness_impl"] in ("native", "numpy")
 
@@ -453,6 +504,14 @@ class TestReporting:
             assert native.describe() == {
                 "fitness_impl": "native", "fitness_library": str(lib.path)}
 
+    def test_describe_kernels_follows_the_forced_implementation(self, lib):
+        with native.use(None):
+            assert native.describe_kernels() == dict.fromkeys(
+                native.KERNELS, "numpy")
+        with native.use(lib):
+            assert native.describe_kernels() == dict.fromkeys(
+                native.KERNELS, "native")
+
     def test_metrics_report_the_implementation(self):
         from repro.service.admission import AdmissionPolicy
         from repro.service.api import SchedulingService
@@ -465,6 +524,7 @@ class TestReporting:
             svc.stop()
         assert code == 200
         assert doc["fitness"] == native.describe()
+        assert doc["kernels"] == native.describe_kernels()
 
     def test_profile_prints_the_implementation(self, capsys):
         from repro.cli import main
@@ -473,6 +533,9 @@ class TestReporting:
         out = capsys.readouterr().out
         impl = native.describe()
         assert f"fitness:  {impl['fitness_impl']}" in out
+        kernels = native.describe_kernels()
+        assert "kernels:  " + ", ".join(
+            f"{name} {impl}" for name, impl in kernels.items()) in out
 
     def test_source_ships_as_package_data(self):
         import tomllib
@@ -482,3 +545,6 @@ class TestReporting:
             data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
         assert "seqopt/fitness_rows.c" in data["repro"]
         assert native.SOURCE.is_file()
+        for source in native.SOURCES:
+            assert source.is_file()
+            assert f"seqopt/{source.name}" in data["repro"]
