@@ -18,6 +18,11 @@ Commands
 ``--max-retries``/``--unit-timeout`` bound transient-failure retries, and
 ``--inject-fault`` arms deterministic fault injection for testing.  Exit
 codes: 0 clean, 1 with permanently failed cells, 130 when interrupted.
+
+``--inject-fault SITE:AT:KIND[:repeat]`` (repeatable) is the one fault
+flag of ``solve``, ``experiment``, ``bestknown`` and ``serve``
+(:mod:`repro.resilience.faults`); each command exits 2 on a site it
+cannot fire.
 """
 
 from __future__ import annotations
@@ -52,6 +57,26 @@ def _add_device_profile_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_fault_arg(parser: argparse.ArgumentParser, fires: str) -> None:
+    """The shared, repeatable ``--inject-fault`` flag; ``fires`` says
+    which sites this command can fire."""
+    parser.add_argument(
+        "--inject-fault", action="append", default=None,
+        metavar="SITE:AT:KIND[:repeat]",
+        help=f"deterministic fault injection for testing (repeatable); "
+             f"{fires} (sites and kinds: docs/resilience.md)",
+    )
+
+
+def _fault_plan(args: argparse.Namespace):
+    """The ``--inject-fault`` specs as one plan (``None`` without any)."""
+    from repro.resilience.faults import FaultPlan, parse_fault
+
+    if not args.inject_fault:
+        return None
+    return FaultPlan([parse_fault(text) for text in args.inject_fault])
+
+
 def _add_runner_args(parser: argparse.ArgumentParser, unit: str) -> None:
     """The resilience flags :func:`_build_runner` reads, for commands
     whose work splits into ``unit``-sized checkpointed cells."""
@@ -79,12 +104,6 @@ def _add_runner_args(parser: argparse.ArgumentParser, unit: str) -> None:
         help=f"with --workers: wall-clock watchdog per {unit}; a hung "
              f"worker is killed and its {unit} retried without stalling "
              "siblings",
-    )
-    parser.add_argument(
-        "--inject-pool-fault", default=None, metavar="KIND:TASK[:repeat]",
-        help="with --workers: deterministic pool-transport fault "
-             "injection, e.g. 'kill:1' (retried) or 'kill:1:repeat' "
-             "(quarantined); kinds: kill, hang, corrupt-payload",
     )
 
 
@@ -137,12 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
              "fails (--backend multiprocess or distributed; default 0)",
     )
     p_solve.add_argument(
-        "--inject-pool-fault", default=None, metavar="KIND:TASK[:repeat]",
-        help="deterministic pool-transport fault injection for testing, "
-             "e.g. 'kill:1' or 'hang:0' or 'corrupt-payload:0:repeat' "
-             "(--backend multiprocess)",
-    )
-    p_solve.add_argument(
         "--hosts", default=None, metavar="HOST[:PORT]:WORKERS,...",
         help="host topology for --backend distributed, e.g. "
              "'host1:4,host2:8' or 'localhost:7471:2,localhost:7472:2'; "
@@ -160,12 +173,10 @@ def build_parser() -> argparse.ArgumentParser:
              "shards fail over (--backend distributed; default: the host "
              "pool's)",
     )
-    p_solve.add_argument(
-        "--inject-net-fault", default=None, metavar="KIND:TASK[:repeat]",
-        help="deterministic network fault injection for testing, e.g. "
-             "'disconnect:1' or 'blackhole:0' or 'corrupt-frame:0:repeat' "
-             "(kinds: disconnect, delay, partial-frame, corrupt-frame, "
-             "blackhole; --backend distributed)",
+    _add_fault_arg(
+        p_solve,
+        "'task' sites with --backend multiprocess, e.g. task:1:kill; "
+        "'send' sites with --backend distributed, e.g. send:0:corrupt-frame",
     )
     _add_device_profile_arg(p_solve)
 
@@ -221,11 +232,10 @@ def build_parser() -> argparse.ArgumentParser:
              "each study's preference — vectorized for quality tables, "
              "gpusim where modeled timings are the measurement)",
     )
-    p_exp.add_argument(
-        "--inject-fault", default=None, metavar="OP:AT:KIND[:repeat]",
-        help="deterministic fault injection for testing, e.g. "
-             "'launch:100:transient' or 'malloc:1:oom:repeat' "
-             "(kinds: transient, timeout, oom, fatal, interrupt)",
+    _add_fault_arg(
+        p_exp,
+        "device sites, e.g. launch:100:transient or malloc:1:oom:repeat; "
+        "'task' sites with --workers, e.g. task:1:kill",
     )
     _add_device_profile_arg(p_exp)
 
@@ -247,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_best.add_argument("--restarts", type=int, default=4)
     p_best.add_argument("--iterations", type=int, default=8000)
     _add_runner_args(p_best, "instance")
+    _add_fault_arg(p_best, "'task' sites with --workers, e.g. task:1:kill")
     _add_device_profile_arg(p_best)
 
     p_trace = sub.add_parser(
@@ -283,6 +294,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     else:
         inst = ucddcp_instance(args.jobs, args.replicate)
         solver = UCDDCPSolver(inst)
+    knobs = _placement_knobs(args)
+    if knobs["fault_plan"] is not None and not args.method.startswith(
+        "parallel"
+    ):
+        print(f"--inject-fault: {args.method} runs no worker pool",
+              file=sys.stderr)
+        return 2
     kwargs: dict = {}
     if args.method != "exact":
         kwargs["seed"] = args.seed
@@ -297,7 +315,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 kwargs["block_size"] = args.block
             kwargs["backend"] = args.backend
             kwargs["device_profile"] = args.device_profile
-            knobs = _placement_knobs(args)
             try:
                 resolve_placement(args.backend, knobs, spell=_solve_flag)
             except ValueError as exc:
@@ -314,10 +331,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 #: The ``repro solve`` flag of each placement knob it exposes.
 _PLACEMENT_FLAGS = dict(
     workers="--workers", task_timeout="--task-timeout",
-    task_retries="--task-retries", pool_faults="--inject-pool-fault",
+    task_retries="--task-retries", fault_plan="--inject-fault",
     hosts="--hosts", heartbeat_interval_s="--heartbeat-interval",
     heartbeat_timeout_s="--heartbeat-timeout",
-    net_faults="--inject-net-fault",
 )
 
 
@@ -329,18 +345,11 @@ def _solve_flag(name: str, value: object = None) -> str:
 
 def _placement_knobs(args: argparse.Namespace) -> dict:
     """The placement flags of ``repro solve``, keyed by solver knob."""
-    from repro.pool import faults
-
     knobs = {
         knob: getattr(args, flag[2:].replace("-", "_"))
         for knob, flag in _PLACEMENT_FLAGS.items()
     }
-    if args.inject_pool_fault is not None:
-        spec = faults.parse_pool_fault(args.inject_pool_fault)
-        knobs.update(pool_faults=faults.PoolFaultPlan([spec]))
-    if args.inject_net_fault is not None:
-        spec = faults.parse_net_fault(args.inject_net_fault)
-        knobs.update(net_faults=faults.NetFaultPlan([spec]))
+    knobs.update(fault_plan=_fault_plan(args))
     return knobs
 
 
@@ -379,39 +388,36 @@ def _cmd_agent(args: argparse.Namespace) -> int:
 _RESUME_HINT = "interrupted — checkpoint flushed; rerun with --resume to continue"
 
 
-def _build_runner(args: argparse.Namespace):
-    """A ResilientRunner from the shared resilience CLI flags."""
-    from repro.pool.faults import PoolFaultPlan, parse_pool_fault
-    from repro.resilience import (
-        FaultPlan,
-        ResilientRunner,
-        RetryPolicy,
-        parse_fault,
-    )
+def _build_runner(args: argparse.Namespace, refused: tuple[str, ...]):
+    """A ResilientRunner from the shared resilience CLI flags, or
+    ``None`` (reported on stderr) when it cannot fire a fault site: the
+    ``refused`` ones, or ``task`` without ``--workers``."""
+    from repro.resilience import ResilientRunner, RetryPolicy
 
-    plan = None
-    if getattr(args, "inject_fault", None):
-        plan = FaultPlan([parse_fault(args.inject_fault)])
-    pool_plan = None
-    if args.inject_pool_fault:
-        pool_plan = PoolFaultPlan([parse_pool_fault(args.inject_pool_fault)])
+    plan = _fault_plan(args)
+    policy = RetryPolicy(
+        max_retries=args.max_retries,
+        unit_timeout_s=getattr(args, "unit_timeout", None),
+    )
     checkpoint_dir = args.checkpoint_dir
     if checkpoint_dir == "none":
         checkpoint_dir = None
-    return ResilientRunner(
-        policy=RetryPolicy(
-            max_retries=args.max_retries,
-            unit_timeout_s=getattr(args, "unit_timeout", None),
-        ),
-        checkpoint_dir=checkpoint_dir,
-        resume=args.resume,
-        fault_plan=plan,
-        backend=getattr(args, "backend", None),
-        workers=args.workers,
-        task_timeout_s=args.task_timeout,
-        pool_faults=pool_plan,
-        progress=lambda msg: print(f"  [{msg}]", file=sys.stderr),
-    )
+    try:
+        if plan is not None:
+            plan.refuse_sites(refused, f"repro {args.command}")
+        return ResilientRunner(
+            policy=policy,
+            checkpoint_dir=checkpoint_dir,
+            resume=args.resume,
+            fault_plan=plan,
+            backend=getattr(args, "backend", None),
+            workers=args.workers,
+            task_timeout_s=args.task_timeout,
+            progress=lambda msg: print(f"  [{msg}]", file=sys.stderr),
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return None
 
 
 def _finish_resilient(runner) -> int:
@@ -432,7 +438,9 @@ def _finish_resilient(runner) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
-    runner = _build_runner(args)
+    runner = _build_runner(args, refused=("send",))
+    if runner is None:
+        return 2
     print(f"# experiment {args.name} at scale '{scale.name}'\n")
     try:
         print(run_experiment(args.name, scale, runner,
@@ -521,7 +529,9 @@ def _cmd_bestknown(args: argparse.Namespace) -> int:
             f"--device-profile {args.device_profile} has no effect here",
             file=sys.stderr,
         )
-    runner = _build_runner(args)
+    runner = _build_runner(args, refused=("launch", "malloc", "send"))
+    if runner is None:
+        return 2
     try:
         report = recompute_best_known(
             instances, store, restarts=args.restarts,

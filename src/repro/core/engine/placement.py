@@ -19,6 +19,7 @@ from repro.core.engine.config import check_choice, check_workers
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pool.net import HostSpec
+    from repro.resilience.faults import FaultPlan
 
 __all__ = [
     "LOCAL",
@@ -51,11 +52,10 @@ _PROCESSES_ONLY = {
                "per-host counts in {hosts}",
     "task_timeout": "task deadlines are enforced agent-side; start "
                     "agents with `repro agent --task-timeout`",
-    "pool_faults": "it injects into local worker pools; use {net_faults}",
 }
 #: Knobs only remote hosts use (HostPool supervision and the fallback).
 _HOSTS_ONLY = (
-    "hosts", "net_faults", "local_fallback", "heartbeat_interval_s",
+    "hosts", "local_fallback", "heartbeat_interval_s",
     "heartbeat_timeout_s", "connect_timeout_s", "io_timeout_s",
     "reconnect_attempts", "backoff_base_s", "backoff_factor",
     "backoff_max_s",
@@ -63,8 +63,11 @@ _HOSTS_ONLY = (
 #: The one list of placement knob names: the solver pops exactly these
 #: kwargs and the service refuses them in request configs.
 PLACEMENT_KNOBS: tuple[str, ...] = (
-    *_PROCESSES_ONLY, "task_retries", *_HOSTS_ONLY,
+    *_PROCESSES_ONLY, "task_retries", "fault_plan", *_HOSTS_ONLY,
 )
+#: The keyed fault site each sharded placement's pool fires
+#: (:mod:`repro.resilience.faults`); device sites ride on the backend.
+_FAULT_SITE = {PROCESSES: "task", HOSTS: "send"}
 #: Knobs kept as :class:`Placement` fields; the rest go to the pool.
 _FIELDS = ("workers", "hosts", "local_fallback")
 
@@ -123,10 +126,7 @@ class Placement:
 
     def pool_kwargs(self) -> dict[str, Any]:
         """Supervision kwargs for this placement's pool constructor."""
-        kwargs = dict(self.supervision)
-        if "pool_faults" in kwargs:
-            kwargs["fault_plan"] = kwargs.pop("pool_faults")
-        return kwargs
+        return dict(self.supervision)
 
     def result_params(self, shards: int) -> dict[str, Any]:
         """The ``SolveResult.params`` entries of a sharded solve."""
@@ -144,6 +144,26 @@ def _kind_of(backend: str | ExecutionBackend) -> str:
     return _PLACED.get(backend, LOCAL) if isinstance(backend, str) else LOCAL
 
 
+def _check_fault_sites(
+    plan: "FaultPlan", kind: str, name: str, spell: Callable[..., str]
+) -> None:
+    """Refuse a ``fault_plan`` spec this placement's pool cannot fire."""
+    for spec in plan.specs:
+        flag = spell("fault_plan", str(spec))
+        if spec.site not in _FAULT_SITE.values():
+            raise ValueError(
+                f"{flag} does not apply to {spell('backend', name)}: "
+                "device faults are armed on the kernel backend, not the "
+                "placement"
+            )
+        if _FAULT_SITE.get(kind) != spec.site:
+            wanted = "multiprocess" if spec.site == "task" else "distributed"
+            raise ValueError(
+                f"{flag} requires {spell('backend', wanted)} "
+                f"(got {spell('backend', name)})"
+            )
+
+
 def resolve_placement(
     backend: str | ExecutionBackend,
     knobs: Mapping[str, Any] | None = None,
@@ -152,20 +172,21 @@ def resolve_placement(
     """Split a ``backend=`` choice into ``(kernel backend, placement)``.
 
     ``knobs`` maps knob names to values (``None`` = unset).  A knob the
-    placement cannot use, or ``hosts`` without a topology, raises
-    ``ValueError`` naming them via ``spell(name[, value])``: the
-    solver's ``hosts=`` by default, or a front end's own flags.
+    placement cannot use, a ``fault_plan`` site its pool cannot fire, or
+    ``hosts`` without a topology, raises ``ValueError`` naming them via
+    ``spell(name[, value])``: the solver's ``hosts=`` by default, or a
+    front end's own flags.
     """
     set_knobs = {k: v for k, v in (knobs or {}).items() if v is not None}
     kind = _kind_of(backend)
     name = getattr(backend, "name", backend)
+    if "fault_plan" in set_knobs:
+        _check_fault_sites(set_knobs["fault_plan"], kind, name, spell)
     for knob in set_knobs:
         if _applies(knob, kind):
             continue
         if kind == HOSTS:
-            reason = _PROCESSES_ONLY[knob].format(
-                hosts=spell("hosts"), net_faults=spell("net_faults")
-            )
+            reason = _PROCESSES_ONLY[knob].format(hosts=spell("hosts"))
             raise ValueError(
                 f"{spell(knob)} does not apply to "
                 f"{spell('backend', name)}: {reason}"

@@ -73,7 +73,7 @@ class DeviceRNG:
 
     def _advance(self) -> np.uint64:
         c = self._counter
-        self._counter = np.uint64(self._counter + np.uint64(1))
+        self._counter = np.uint64((int(c) + 1) & 0xFFFFFFFFFFFFFFFF)
         return c
 
     def reserve(self, rounds: int) -> tuple[int, int]:

@@ -18,8 +18,9 @@ One pool primitive, two transports, three consumers:
 The pool supervises its children (:mod:`repro.pool.executor`): per-task
 wall-clock deadlines, in-pool retries of abnormal deaths, poison-task
 quarantine with structured reports (:mod:`repro.pool.errors`), content
-digests on every result crossing the pipe, and deterministic transport
-fault plans for chaos testing (:mod:`repro.pool.faults`).
+digests on every result crossing the pipe, and the ``task``/``send``
+sites of the one fault plan for chaos testing
+(:mod:`repro.resilience.faults`).
 
 The distributed layer adds a socket transport with the same guarantees
 (:mod:`repro.pool.net`), a host-agent runtime (:mod:`repro.pool.agent`),
@@ -44,16 +45,6 @@ from repro.pool.errors import (
     WorkerTimeoutError,
 )
 from repro.pool.executor import PoolFuture, ProcessPool
-from repro.pool.faults import (
-    NET_FAULT_KINDS,
-    NetFaultPlan,
-    NetFaultSpec,
-    POOL_FAULT_KINDS,
-    PoolFaultPlan,
-    PoolFaultSpec,
-    parse_net_fault,
-    parse_pool_fault,
-)
 from repro.pool.hosts import HostPool
 from repro.pool.net import HostSpec, parse_host_spec, parse_host_specs
 from repro.pool.sharding import ShardPlan, plan_shards
@@ -82,14 +73,6 @@ __all__ = [
     "TaskAttempt",
     "PoisonTaskReport",
     "PoisonTaskError",
-    "POOL_FAULT_KINDS",
-    "PoolFaultPlan",
-    "PoolFaultSpec",
-    "parse_pool_fault",
-    "NET_FAULT_KINDS",
-    "NetFaultPlan",
-    "NetFaultSpec",
-    "parse_net_fault",
     "ShardPlan",
     "plan_shards",
 ]

@@ -40,7 +40,7 @@ from repro.pool.errors import (
     WorkerTimeoutError,
 )
 from repro.pool.executor import ProcessPool
-from repro.pool.faults import PoolFaultPlan
+from repro.resilience.faults import FaultPlan
 from repro.pool.worker import solve_chunk, solve_one
 from repro.problems.validation import ScheduleError, validate_schedule
 
@@ -206,7 +206,7 @@ def iter_solve_many(
     context: str | None = None,
     task_timeout: float | None = None,
     task_retries: int = 0,
-    pool_faults: PoolFaultPlan | None = None,
+    fault_plan: FaultPlan | None = None,
     chunk_size: int | str | None = None,
     **solve_kwargs: Any,
 ) -> Iterator[BatchItem]:
@@ -228,7 +228,7 @@ def iter_solve_many(
     chunks = _plan_chunks(instances, chunk_size)
     pool = ProcessPool(
         workers=workers, context=context, task_timeout=task_timeout,
-        task_retries=task_retries, fault_plan=pool_faults,
+        task_retries=task_retries, fault_plan=fault_plan,
     )
     tasks = []
     labels = []
@@ -276,7 +276,7 @@ def solve_many(
     context: str | None = None,
     task_timeout: float | None = None,
     task_retries: int = 0,
-    pool_faults: PoolFaultPlan | None = None,
+    fault_plan: FaultPlan | None = None,
     chunk_size: int | str | None = None,
     **solve_kwargs: Any,
 ) -> list[BatchItem]:
@@ -293,7 +293,7 @@ def solve_many(
     for item in iter_solve_many(
         instances, method, workers=workers, context=context,
         task_timeout=task_timeout, task_retries=task_retries,
-        pool_faults=pool_faults, chunk_size=chunk_size, **solve_kwargs,
+        fault_plan=fault_plan, chunk_size=chunk_size, **solve_kwargs,
     ):
         items[item.index] = item
     out = [item for item in items if item is not None]

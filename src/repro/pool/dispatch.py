@@ -35,7 +35,7 @@ from repro.pool.errors import (
     WorkerTimeoutError,
 )
 from repro.pool.executor import _child_main, reap_child, receive_outcome
-from repro.pool.faults import PoolFaultPlan
+from repro.resilience.faults import FaultPlan
 
 __all__ = ["SupervisedDispatch"]
 
@@ -88,7 +88,7 @@ class SupervisedDispatch:
         label: str = "job",
         task_timeout: float | None = None,
         task_retries: int = 0,
-        fault_plan: PoolFaultPlan | None = None,
+        fault_plan: FaultPlan | None = None,
         task_index: int = 0,
     ) -> tuple[str, Any]:
         """Run ``fn(*args)`` in a fresh supervised child; ``(status, value)``.
@@ -119,7 +119,7 @@ class SupervisedDispatch:
             if self._cancel.is_set():
                 return "cancelled", None
             directive = (
-                fault_plan.directive(task_index, attempt)
+                fault_plan.directive("task", task_index, attempt)
                 if fault_plan is not None else None
             )
             recv, send = self._ctx.Pipe(duplex=False)

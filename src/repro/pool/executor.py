@@ -64,7 +64,7 @@ from repro.pool.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.pool.faults import PoolFaultPlan
+from repro.resilience.faults import FaultPlan
 
 __all__ = [
     "ProcessPool",
@@ -98,8 +98,8 @@ def _child_main(
 ) -> None:
     """Child entry point: run the task, ship one tagged result, exit.
 
-    ``directive`` arms deterministic fault injection
-    (:mod:`repro.pool.faults`): ``kill`` exits abruptly before running
+    ``directive`` arms a ``task`` site fault
+    (:mod:`repro.resilience.faults`): ``kill`` exits abruptly before running
     the task (the parent sees a closed pipe, exactly like a segfault);
     ``hang`` stalls forever before running it (only the watchdog reaps
     it); ``corrupt-payload`` runs the task and computes the true digest,
@@ -253,8 +253,9 @@ class ProcessPool:
     term_grace_s:
         Grace period between SIGTERM and SIGKILL when reaping a child.
     fault_plan:
-        Optional :class:`~repro.pool.faults.PoolFaultPlan` arming
-        deterministic transport faults per ``(task, attempt)``.
+        Optional :class:`~repro.resilience.faults.FaultPlan` whose
+        ``task`` specs arm deterministic transport faults per
+        ``(task, attempt)``.
     clock:
         Injectable monotonic clock (tests substitute it).
     """
@@ -267,7 +268,7 @@ class ProcessPool:
         task_retries: int = 0,
         retry_delay: Callable[[int], float] | None = None,
         term_grace_s: float = 0.5,
-        fault_plan: PoolFaultPlan | None = None,
+        fault_plan: FaultPlan | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         check_workers(workers)
@@ -283,15 +284,8 @@ class ProcessPool:
         self._clock = clock
         self._sleep = time.sleep
         self._ctx = mp.get_context(context)
-        if (
-            fault_plan is not None
-            and fault_plan.wants_hang()
-            and task_timeout is None
-        ):
-            raise ValueError(
-                "a 'hang' pool fault can only be reaped by the watchdog; "
-                "set task_timeout"
-            )
+        if fault_plan is not None:
+            fault_plan.check_watchdog(task_timeout)
 
     # -- core: completion-ordered iteration ----------------------------
 
@@ -408,7 +402,7 @@ class ProcessPool:
         fn, args = spec
         attempt = len(history.get(index, ())) + 1
         directive = (
-            self.fault_plan.directive(index, attempt)
+            self.fault_plan.directive("task", index, attempt)
             if self.fault_plan is not None else None
         )
         recv, send = self._ctx.Pipe(duplex=False)

@@ -34,9 +34,10 @@ or fail to deserialize.  A task that exhausts the budget surfaces as
 :class:`~repro.pool.errors.PoisonTaskError` whose attempts carry the
 host that ran each one.
 
-Chaos drills inject at the client's send path via
-:class:`~repro.pool.faults.NetFaultPlan` (``--inject-net-fault``), so
-every rung of the ladder is testable against stock agents.
+Chaos drills inject ``send`` site faults of a
+:class:`~repro.resilience.faults.FaultPlan` (``--inject-fault
+send:...``) at the client's send path, so every rung of the ladder is
+testable against stock agents.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ from repro.pool.errors import (
     WorkerCrashError,
     WorkerTimeoutError,
 )
-from repro.pool.faults import NetFaultPlan
 from repro.pool.net import (
     CONTROL_TASK_ID,
     FRAME_BYE,
@@ -83,6 +83,7 @@ from repro.pool.net import (
     send_frame,
     send_json_frame,
 )
+from repro.resilience.faults import SEND_DELAY_S, FaultPlan
 
 __all__ = ["HostPool"]
 
@@ -98,7 +99,7 @@ _FAILED_ERRORS: dict[str, type[WorkerCrashError]] = {
 
 
 class _InjectedDisconnect(Exception):
-    """Internal: a NetFaultPlan directive asked for an abrupt close."""
+    """Internal: a ``send`` fault directive asked for an abrupt close."""
 
 
 class _HostLink:
@@ -149,9 +150,9 @@ class HostPool:
         Dial deadline and the armed per-operation socket timeout.
     reconnect_attempts / backoff_base_s / backoff_factor / backoff_max_s:
         The deterministic reconnect schedule (rung 2 of the ladder).
-    net_faults:
-        Optional :class:`~repro.pool.faults.NetFaultPlan` injected at
-        the send path.
+    fault_plan:
+        Optional :class:`~repro.resilience.faults.FaultPlan` whose
+        ``send`` specs are injected at the send path.
     clock / sleep:
         Injectable time sources (tests substitute them).
     """
@@ -169,8 +170,7 @@ class HostPool:
         backoff_base_s: float = 0.05,
         backoff_factor: float = 2.0,
         backoff_max_s: float = 2.0,
-        net_faults: NetFaultPlan | None = None,
-        fault_delay_s: float = 0.05,
+        fault_plan: FaultPlan | None = None,
         clock: Callable[[], float] = time.monotonic,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -194,8 +194,7 @@ class HostPool:
         self.backoff_base_s = backoff_base_s
         self.backoff_factor = backoff_factor
         self.backoff_max_s = backoff_max_s
-        self.net_faults = net_faults
-        self.fault_delay_s = fault_delay_s
+        self.fault_plan = fault_plan
         self._clock = clock
         self._sleep = sleep
 
@@ -292,8 +291,8 @@ class HostPool:
         attempt = send_attempts.get(index, 0) + 1
         send_attempts[index] = attempt
         directive = (
-            self.net_faults.directive(link.label, index, attempt)
-            if self.net_faults is not None else None
+            self.fault_plan.directive("send", index, attempt, link.label)
+            if self.fault_plan is not None else None
         )
         frame = encode_frame(
             FRAME_TASK, pickle.dumps((fn, args, label)), task_id=index
@@ -302,7 +301,7 @@ class HostPool:
         assert link.sock is not None
         try:
             if directive == "delay":
-                self._sleep(self.fault_delay_s)
+                self._sleep(SEND_DELAY_S)
             elif directive == "corrupt-frame":
                 # Flip the final payload byte *after* the header digest
                 # was computed; the agent's integrity check must fire.

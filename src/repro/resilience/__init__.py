@@ -13,10 +13,11 @@ from repro.resilience.checkpoint import (
     record_crc,
 )
 from repro.resilience.faults import (
-    FAULT_KINDS,
-    FAULT_OPS,
+    FAULT_SITES,
+    SITE_KINDS,
     FaultPlan,
     FaultSpec,
+    Firing,
     parse_fault,
 )
 from repro.resilience.runner import (
@@ -35,10 +36,11 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointStore",
     "record_crc",
-    "FAULT_KINDS",
-    "FAULT_OPS",
+    "FAULT_SITES",
+    "SITE_KINDS",
     "FaultPlan",
     "FaultSpec",
+    "Firing",
     "parse_fault",
     "TRANSIENT_ERRORS",
     "ResilientRunner",

@@ -1,24 +1,37 @@
-"""Deterministic fault injection for the simulated device and backends.
+"""Deterministic fault injection: one grammar for every fault site.
 
 Real fault-tolerance code is impossible to test against real faults -- a
-GT 560M that times out on exactly the 40th kernel launch of a study cannot
-be arranged.  A :class:`FaultPlan` arranges it: the plan is attached to a
-:class:`repro.gpusim.device.Device` (or to either
-:class:`~repro.core.engine.backends.ExecutionBackend`) and raises a chosen
-error on the N-th launch or allocation, *counted cumulatively across the
-plan's lifetime*.  Because the count survives device re-creation, a retry
-of the failed work unit starts past the trigger index and succeeds -- which
-is exactly the transient-fault shape the resilient runner must handle.
+GT 560M that times out on exactly the 40th kernel launch of a study, or a
+worker that dies on exactly the second shard, cannot be arranged.  A
+:class:`FaultPlan` arranges it.  Every fault is one
+``SITE:AT:KIND[:repeat]`` spec; the site says where it fires and how
+``AT`` counts:
 
-Plans are deterministic by construction (counters, not wall clocks) and,
-when a firing ``probability`` below 1 is requested, seeded -- the same plan
-replayed over the same workload fires at the same call indices.
+* **Counted sites** -- ``launch`` and ``malloc``, hooked in
+  :class:`repro.gpusim.device.Device` and both
+  :class:`~repro.core.engine.backends.ExecutionBackend` s via
+  :meth:`FaultPlan.record`.  ``AT`` is the 1-based call index, counted
+  cumulatively over the plan's lifetime; because the count survives
+  device re-creation, a retry of the failed work unit starts past the
+  trigger and succeeds.  ``repeat`` fires on every call at or after
+  ``AT`` (a hard failure no retry clears).
+* **Keyed sites** -- ``task`` (a child process of
+  :class:`~repro.pool.executor.ProcessPool` or
+  :class:`~repro.pool.dispatch.SupervisedDispatch`) and ``send`` (the
+  client send path of :class:`~repro.pool.hosts.HostPool`), asked via
+  :meth:`FaultPlan.directive`.  ``AT`` is the 0-based task index (for
+  ``repro serve``, the job admission sequence).  The fault fires on
+  attempt 1 only, so the retry runs clean; ``repeat`` fires on every
+  attempt, which drives the task into poison quarantine.
+
+Plans are deterministic by construction: counters and task indices,
+never wall clocks.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from repro.core.engine.config import check_choice
 from repro.gpusim.errors import (
@@ -28,12 +41,23 @@ from repro.gpusim.errors import (
     LaunchTimeoutError,
 )
 
-__all__ = ["FAULT_KINDS", "FAULT_OPS", "FaultSpec", "FaultPlan", "parse_fault"]
+__all__ = [
+    "DEVICE_FAULTS",
+    "SITE_KINDS",
+    "COUNTED_SITES",
+    "FAULT_SITES",
+    "SEND_DELAY_S",
+    "Firing",
+    "FaultSpec",
+    "FaultPlan",
+    "parse_fault",
+]
 
-#: Injectable fault kinds.  ``interrupt`` simulates the operator's Ctrl-C
-#: at a deterministic point mid-study (KeyboardInterrupt is *not* a
-#: failure: the runner converts it into a graceful, resumable stop).
-FAULT_KINDS: dict[str, type[BaseException]] = {
+#: The errors the device sites raise.  ``interrupt`` simulates the
+#: operator's Ctrl-C at a deterministic point mid-study (KeyboardInterrupt
+#: is *not* a failure: the runner converts it into a graceful, resumable
+#: stop).
+DEVICE_FAULTS: dict[str, type[BaseException]] = {
     "transient": DeviceUnavailableError,
     "timeout": LaunchTimeoutError,
     "oom": DeviceAllocationError,
@@ -41,103 +65,170 @@ FAULT_KINDS: dict[str, type[BaseException]] = {
     "interrupt": KeyboardInterrupt,
 }
 
-FAULT_OPS = ("launch", "malloc")
+#: Pause before the task frame goes out, for the ``send`` kind ``delay``.
+SEND_DELAY_S = 0.05
+
+#: The kinds each site can fire.
+#:
+#: ``task`` kinds act in the child process: ``kill`` exits abruptly
+#: before reporting (segfault, ``kill -9``, the OOM killer); ``hang``
+#: stalls until the watchdog reaps it; ``corrupt-payload`` flips a byte
+#: of the pickled result after its digest was computed.
+#:
+#: ``send`` kinds act on the client's send path, so one plan drills any
+#: topology against stock agents: ``disconnect`` closes the connection
+#: after the task frame; ``delay`` pauses :data:`SEND_DELAY_S` first;
+#: ``partial-frame`` ships half the frame, then closes; ``corrupt-frame``
+#: flips a payload byte after the digest was computed; ``blackhole``
+#: stops reading from and pinging the host until its heartbeat deadline
+#: trips.
+SITE_KINDS: dict[str, tuple[str, ...]] = {
+    "launch": tuple(DEVICE_FAULTS),
+    "malloc": tuple(DEVICE_FAULTS),
+    "task": ("kill", "hang", "corrupt-payload"),
+    "send": (
+        "disconnect", "delay", "partial-frame", "corrupt-frame", "blackhole"
+    ),
+}
+FAULT_SITES: tuple[str, ...] = tuple(SITE_KINDS)
+#: Sites whose ``AT`` is a cumulative call count (the rest are keyed by
+#: task index and attempt).
+COUNTED_SITES = ("launch", "malloc")
+
+
+class Firing(NamedTuple):
+    """One fired fault, as logged in :attr:`FaultPlan.fired`.
+
+    ``index`` is the call count (counted sites) or the task index (keyed
+    sites); ``attempt`` is the keyed sites' 1-based attempt and ``host``
+    the ``send`` site's host label.
+    """
+
+    site: str
+    index: int
+    kind: str
+    attempt: int | None = None
+    host: str | None = None
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One injected fault: raise ``kind`` on the ``at``-th ``op`` call.
+    """One injected fault: fire ``kind`` at ``site`` number ``at``."""
 
-    ``at`` is 1-based and counted cumulatively over the owning plan's
-    lifetime (across devices and retries).  ``repeat=True`` makes the
-    fault *permanent*: it fires on every matching call at or after ``at``,
-    modeling a hard failure no retry can clear.
-    """
-
-    op: str
+    site: str
     at: int
-    kind: str = "transient"
+    kind: str
     repeat: bool = False
-    probability: float = 1.0
-    message: str = ""
 
     def __post_init__(self) -> None:
-        check_choice("fault op", self.op, FAULT_OPS)
-        check_choice("fault kind", self.kind, tuple(FAULT_KINDS))
-        if self.at < 1:
-            raise ValueError(f"fault index must be >= 1, got {self.at}")
-        if not (0.0 < self.probability <= 1.0):
+        check_choice("fault site", self.site, FAULT_SITES)
+        check_choice(f"{self.site} fault kind", self.kind,
+                     SITE_KINDS[self.site])
+        low = 1 if self.site in COUNTED_SITES else 0
+        if self.at < low:
             raise ValueError(
-                f"fault probability must lie in (0, 1], got {self.probability}"
+                f"{self.site} fault index must be >= {low}, got {self.at}"
             )
 
-    def build_error(self) -> BaseException:
-        """Instantiate the exception this spec injects."""
-        detail = self.message or (
-            f"injected {self.kind} fault on {self.op} #{self.at}"
-        )
-        return FAULT_KINDS[self.kind](detail)
+    def __str__(self) -> str:
+        text = f"{self.site}:{self.at}:{self.kind}"
+        return f"{text}:repeat" if self.repeat else text
 
 
 class FaultPlan:
-    """A seeded, reproducible schedule of injected faults.
+    """A reproducible schedule of injected faults over any sites.
 
-    The plan keeps one cumulative counter per operation; hooks in the
-    device/backends call :meth:`record` before doing the real work, so an
-    injected error prevents the operation exactly as a driver error would.
-    Every firing is logged in :attr:`fired` as ``(op, index, kind)`` for
-    assertions on cross-backend parity.
+    Counted sites call :meth:`record` before doing the real work, so an
+    injected error prevents the operation exactly as a driver error
+    would; keyed sites ask :meth:`directive` at every spawn or send.
+    Every firing is logged in :attr:`fired` as a :class:`Firing`.
     """
 
-    def __init__(self, specs: tuple[FaultSpec, ...] | list[FaultSpec] = (),
-                 seed: int = 0) -> None:
+    def __init__(self, specs: Iterable[FaultSpec] = ()) -> None:
         self.specs = tuple(specs)
-        self.seed = seed
-        self._rng = random.Random(seed)
-        self._counts: dict[str, int] = {op: 0 for op in FAULT_OPS}
-        self.fired: list[tuple[str, int, str]] = []
+        self._counts: dict[str, int] = {site: 0 for site in COUNTED_SITES}
+        self.fired: list[Firing] = []
+
+    def refuse_sites(self, refused: Iterable[str], where: str) -> None:
+        """Raise ``ValueError`` if any spec targets a ``refused`` site
+        (``where`` names what cannot fire it, e.g. a CLI command)."""
+        for spec in self.specs:
+            if spec.site in refused:
+                raise ValueError(
+                    f"{where} cannot fire {spec.site!r} faults (got {spec})"
+                )
+
+    def check_watchdog(self, task_timeout: float | None) -> None:
+        """Raise ``ValueError`` if a ``task:*:hang`` spec has no
+        ``task_timeout`` watchdog to reap the hung child."""
+        if task_timeout is None and any(
+            spec.site == "task" and spec.kind == "hang" for spec in self.specs
+        ):
+            raise ValueError(
+                "a 'hang' fault can only be reaped by the watchdog; "
+                "set task_timeout"
+            )
 
     def counts(self) -> dict[str, int]:
-        """Cumulative calls recorded per operation (a copy)."""
+        """Cumulative calls recorded per counted site (a copy)."""
         return dict(self._counts)
 
-    def record(self, op: str) -> None:
-        """Count one ``op`` call; raise if a spec triggers at this index."""
-        check_choice("fault op", op, FAULT_OPS)
-        self._counts[op] += 1
-        index = self._counts[op]
+    def record(self, site: str) -> None:
+        """Count one ``site`` call; raise if a spec triggers at this index."""
+        check_choice("counted fault site", site, COUNTED_SITES)
+        self._counts[site] += 1
+        index = self._counts[site]
         for spec in self.specs:
-            if spec.op != op:
-                continue
-            due = index == spec.at or (spec.repeat and index >= spec.at)
-            if not due:
-                continue
-            if spec.probability < 1.0 and (
-                self._rng.random() >= spec.probability
+            if spec.site == site and (
+                index == spec.at or (spec.repeat and index >= spec.at)
             ):
-                continue
-            self.fired.append((op, index, spec.kind))
-            raise spec.build_error()
+                self.fired.append(Firing(site, index, spec.kind))
+                raise DEVICE_FAULTS[spec.kind](
+                    f"injected {spec.kind} fault on {site} #{spec.at}"
+                )
+
+    def directive(
+        self, site: str, task_index: int, attempt: int,
+        host: str | None = None,
+    ) -> str | None:
+        """The fault kind to arm for this spawn or send (``None`` = run
+        clean).
+
+        ``attempt`` is 1-based (resends after a reconnect or a rejected
+        frame count up).  At most one spec fires per call; with several
+        matching specs the first wins.
+        """
+        for spec in self.specs:
+            if spec.site == site and spec.at == task_index and (
+                attempt == 1 or spec.repeat
+            ):
+                self.fired.append(
+                    Firing(site, task_index, spec.kind, attempt, host)
+                )
+                return spec.kind
+        return None
 
 
 def parse_fault(text: str) -> FaultSpec:
-    """Parse a CLI fault spec: ``OP:AT:KIND`` with an optional ``:repeat``.
+    """Parse a CLI fault spec: ``SITE:AT:KIND`` with an optional ``:repeat``.
 
     Examples: ``launch:40:transient``, ``malloc:3:oom:repeat``,
-    ``launch:1200:interrupt`` (simulated Ctrl-C mid-study).
+    ``launch:1200:interrupt`` (simulated Ctrl-C mid-study), ``task:1:kill``
+    (task 1's first worker dies, the retry succeeds),
+    ``send:0:corrupt-frame:repeat`` (task 0's frame is corrupted on every
+    send).
     """
     parts = text.split(":")
     if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "repeat"):
         raise ValueError(
-            f"bad fault spec {text!r}; expected OP:AT:KIND[:repeat], e.g. "
-            f"launch:40:transient (ops: {FAULT_OPS}, "
-            f"kinds: {tuple(FAULT_KINDS)})"
+            f"bad fault spec {text!r}; expected SITE:AT:KIND[:repeat], e.g. "
+            f"launch:40:transient or task:1:kill (sites: {FAULT_SITES})"
         )
-    op, at_text, kind = parts[:3]
+    site, at_text, kind = parts[:3]
     try:
         at = int(at_text)
     except ValueError:
         raise ValueError(
             f"bad fault spec {text!r}: index {at_text!r} is not an integer"
         ) from None
-    return FaultSpec(op=op, at=at, kind=kind, repeat=len(parts) == 4)
+    return FaultSpec(site=site, at=at, kind=kind, repeat=len(parts) == 4)

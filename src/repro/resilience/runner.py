@@ -187,8 +187,11 @@ class ResilientRunner:
         Load existing checkpoints and skip completed units; without it an
         existing checkpoint file for the same study id is discarded.
     fault_plan:
-        Optional :class:`FaultPlan` threaded into every backend/device the
-        studies create through this runner (test/CI fault injection).
+        Optional :class:`FaultPlan` for test/CI fault injection: its
+        ``launch``/``malloc`` specs are threaded into every backend/device
+        the studies create through this runner, its ``task`` specs into
+        the parallel mode's worker pool (refused without ``workers`` > 1,
+        where no pool would fire them).
     backend:
         ``backend=`` name the studies should solve on; ``None`` (the
         default) lets each study pick its own preference (see
@@ -203,10 +206,6 @@ class ResilientRunner:
         retried under the policy's budget, without stalling siblings.
         Serial mode keeps the honest between-attempts
         ``policy.unit_timeout_s`` contract instead.
-    pool_faults:
-        Optional :class:`repro.pool.faults.PoolFaultPlan` injecting
-        deterministic transport faults into the parallel mode's workers
-        (test/CI chaos drills).
     sleep / clock:
         Injectable timing primitives (tests replace them to run instantly).
     """
@@ -220,7 +219,6 @@ class ResilientRunner:
         backend: str | None = None,
         workers: int | None = None,
         task_timeout_s: float | None = None,
-        pool_faults: "Any | None" = None,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         progress: Callable[[str], None] | None = None,
@@ -238,7 +236,12 @@ class ResilientRunner:
         check_timeout(task_timeout_s, "task_timeout_s")
         self.workers = workers
         self.task_timeout_s = task_timeout_s
-        self.pool_faults = pool_faults
+        if fault_plan is not None:
+            if workers is None or workers == 1:
+                fault_plan.refuse_sites(
+                    ("task",), "a runner without a worker pool (workers > 1)"
+                )
+            fault_plan.check_watchdog(task_timeout_s)
         self._sleep = sleep
         self._clock = clock
         self.progress = progress
@@ -393,7 +396,7 @@ class ResilientRunner:
             task_timeout=self.task_timeout_s,
             task_retries=self.policy.max_retries,
             retry_delay=self.policy.backoff_s,
-            fault_plan=self.pool_faults,
+            fault_plan=self.fault_plan,
         )
         tasks = [(_attempt_in_worker, (self, units[i])) for i in pending]
         labels = [units[i].key for i in pending]

@@ -42,8 +42,8 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from repro.core.engine.config import check_retries, check_timeout
-from repro.pool.faults import PoolFaultPlan
 from repro.pool.worker import solve_one
+from repro.resilience.faults import FaultPlan
 from repro.problems.validation import ScheduleError, validate_schedule
 from repro.seqopt import native
 from repro.service.admission import (
@@ -94,7 +94,7 @@ class SchedulingService:
         cache: ResultCache | None = None,
         task_timeout: float | None = None,
         task_retries: int = 0,
-        fault_plan: PoolFaultPlan | None = None,
+        fault_plan: FaultPlan | None = None,
         context: str | None = None,
         state_dir: Path | str | None = None,
         max_terminal_jobs: int | None = None,
@@ -103,6 +103,8 @@ class SchedulingService:
         check_timeout(task_timeout, "task_timeout")
         check_retries(task_retries, "task_retries")
         check_timeout(drain_grace_s, "drain_grace_s")
+        if fault_plan is not None:
+            fault_plan.check_watchdog(task_timeout)
         self.policy = policy if policy is not None else AdmissionPolicy()
         self.registry = JobRegistry(max_terminal_jobs=max_terminal_jobs)
         self.metrics = ServiceMetrics()

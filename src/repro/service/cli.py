@@ -106,11 +106,13 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
              "scripts and CI drills use --bind ':0')",
     )
     parser.add_argument(
-        "--inject-pool-fault", default=None, metavar="KIND:JOB[:repeat]",
-        help="deterministic worker fault injection for drills, keyed by "
-             "job admission sequence, e.g. 'kill:0' (job 0's worker dies; "
-             "with --task-retries the retry runs clean) or 'kill:0:repeat' "
-             "(job 0 is quarantined); kinds: kill, hang, corrupt-payload",
+        "--inject-fault", action="append", default=None,
+        metavar="task:JOB:KIND[:repeat]",
+        help="deterministic worker fault injection for drills "
+             "(repeatable), keyed by job admission sequence, e.g. "
+             "'task:0:kill' (job 0's worker dies; with --task-retries the "
+             "retry runs clean) or 'task:0:kill:repeat' (job 0 is "
+             "quarantined); only 'task' sites fire here",
     )
 
 
@@ -136,15 +138,13 @@ def run_serve(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     fault_plan = None
-    if args.inject_pool_fault:
-        from repro.pool.faults import PoolFaultPlan, parse_pool_fault
+    if args.inject_fault:
+        from repro.resilience.faults import FaultPlan, parse_fault
 
-        fault_plan = PoolFaultPlan([parse_pool_fault(args.inject_pool_fault)])
-        if fault_plan.wants_hang() and args.task_timeout is None:
-            print("a 'hang' fault can only be reaped by the watchdog; "
-                  "set --task-timeout", file=sys.stderr)
-            return 2
+        fault_plan = FaultPlan([parse_fault(t) for t in args.inject_fault])
     try:
+        if fault_plan is not None:
+            fault_plan.refuse_sites(("launch", "malloc", "send"), "repro serve")
         policy = AdmissionPolicy(
             queue_cap=args.queue_cap,
             max_batch=args.max_batch,

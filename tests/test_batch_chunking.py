@@ -13,8 +13,8 @@ from repro.pool.batch import (
     _plan_chunks,
     solve_many,
 )
-from repro.pool.faults import PoolFaultPlan, parse_pool_fault
 from repro.instances.biskup import biskup_instance
+from repro.resilience.faults import FaultPlan, parse_fault
 
 SOLVE_KW = dict(
     backend="vectorized", iterations=30, grid_size=2, block_size=32, seed=7
@@ -102,10 +102,10 @@ class TestChunkedResults:
         instances = self._instances()
         # Task 0 is the whole first chunk; crash it once with no retry
         # budget -- every member must carry the same crash record.
-        plan = PoolFaultPlan([parse_pool_fault("kill:0")])
+        plan = FaultPlan([parse_fault("task:0:kill")])
         items = solve_many(
             instances, "parallel_sa", workers=2, chunk_size=3,
-            pool_faults=plan, **SOLVE_KW
+            fault_plan=plan, **SOLVE_KW
         )
         for item in items[:3]:
             assert not item.ok
@@ -114,9 +114,9 @@ class TestChunkedResults:
 
     def test_chunk_level_crash_retries_whole_chunk(self):
         instances = self._instances()
-        plan = PoolFaultPlan([parse_pool_fault("kill:0")])
+        plan = FaultPlan([parse_fault("task:0:kill")])
         items = solve_many(
             instances, "parallel_sa", workers=2, chunk_size=3,
-            pool_faults=plan, task_retries=1, **SOLVE_KW
+            fault_plan=plan, task_retries=1, **SOLVE_KW
         )
         assert all(item.ok for item in items)

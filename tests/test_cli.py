@@ -37,7 +37,7 @@ class TestParser:
         ])
         assert args.resume and args.checkpoint_dir == "/tmp/c"
         assert args.max_retries == 5 and args.unit_timeout == 30.0
-        assert args.inject_fault == "launch:40:transient"
+        assert args.inject_fault == ["launch:40:transient"]
         assert args.backend == "vectorized"
 
     def test_experiment_offers_only_backends_it_can_run(self, capsys):
@@ -147,6 +147,31 @@ class TestResilientCli:
             main(["experiment", "cooling", "--scale", "smoke",
                   "--checkpoint-dir", str(tmp_path),
                   "--inject-fault", "launch:1:gamma_ray"])
+
+    @pytest.mark.parametrize("command, spec", [
+        (["experiment", "cooling", "--scale", "smoke"], "send:0:delay"),
+        # Without --workers the runner is serial and builds no pool.
+        (["experiment", "table2", "--scale", "smoke"], "task:1:kill"),
+        (["bestknown", "cdd_smoke"], "launch:1:transient"),
+        (["bestknown", "cdd_smoke"], "task:0:kill"),
+    ])
+    def test_unfirable_fault_site_exits_2(self, capsys, tmp_path, command,
+                                          spec):
+        rc = main(command + ["--checkpoint-dir", str(tmp_path),
+                             "--inject-fault", spec])
+        assert rc == 2
+        assert f"(got {spec})" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())  # refused before any work
+
+    def test_repeated_inject_fault_builds_one_plan(self):
+        from repro.cli import _fault_plan
+
+        args = build_parser().parse_args([
+            "experiment", "table2", "--inject-fault", "launch:40:transient",
+            "--inject-fault", "task:1:kill:repeat",
+        ])
+        assert [str(s) for s in _fault_plan(args).specs] == [
+            "launch:40:transient", "task:1:kill:repeat"]
 
     def test_negative_retries_fail_fast(self, tmp_path):
         with pytest.raises(ValueError, match="max_retries"):

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.core.engine.placement import HOSTS, Placement, resolve_placement
+from repro.core.engine.placement import (
+    HOSTS,
+    PLACEMENT_KNOBS,
+    Placement,
+    resolve_placement,
+)
 from repro.core.solver import solver_for
 from repro.instances.biskup import biskup_instance
 from repro.pool.agent import HostAgent, spawn_local_agent
@@ -27,6 +32,7 @@ from repro.pool.net import (
     send_json_frame,
 )
 from repro.pool.worker import solve_one
+from repro.resilience.faults import FaultPlan, parse_fault
 
 #: Small but non-trivial: 4 blocks so a 2-worker topology gets 2 shards.
 SOLVE_KW = dict(iterations=60, grid_size=4, block_size=32, seed=7)
@@ -219,6 +225,65 @@ class TestBackendConstruction:
         assert backend.workers == 2
 
 
+def _plan(text):
+    return FaultPlan([parse_fault(text)])
+
+
+class TestFaultPlacement:
+    """One ``fault_plan`` knob; each placement fires only its own site."""
+
+    TOPOLOGY = {"hosts": "a:1"}
+
+    def test_one_fault_knob(self):
+        assert "fault_plan" in PLACEMENT_KNOBS and len(PLACEMENT_KNOBS) == 14
+
+    @pytest.mark.parametrize("backend, spec", [
+        ("multiprocess", "task:0:kill"),
+        ("distributed", "send:0:delay"),
+    ])
+    def test_own_site_reaches_the_pool(self, backend, spec):
+        plan = _plan(spec)
+        knobs = {"fault_plan": plan, **self.TOPOLOGY}
+        if backend == "multiprocess":
+            knobs.pop("hosts")
+        _, placement = resolve_placement(backend, knobs)
+        assert placement.pool_kwargs()["fault_plan"] is plan
+
+    @pytest.mark.parametrize("backend, spec, match", [
+        ("distributed", "task:0:kill", "requires backend='multiprocess'"),
+        ("multiprocess", "send:0:delay", "requires backend='distributed'"),
+        ("vectorized", "task:0:kill", "requires backend='multiprocess'"),
+        ("gpusim", "send:0:delay", "requires backend='distributed'"),
+        ("multiprocess", "launch:1:transient", "armed on the kernel backend"),
+        ("distributed", "malloc:1:oom", "armed on the kernel backend"),
+        ("vectorized", "launch:1:fatal", "armed on the kernel backend"),
+    ])
+    def test_other_sites_refused(self, backend, spec, match):
+        knobs = {"fault_plan": _plan(spec)}
+        if backend == "distributed":
+            knobs.update(self.TOPOLOGY)
+        with pytest.raises(ValueError, match=match) as info:
+            resolve_placement(backend, knobs)
+        assert f"fault_plan='{spec}'" in str(info.value)
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--backend", "multiprocess", "--inject-fault", "send:0:delay"],
+         "--inject-fault send:0:delay requires --backend distributed"),
+        (["--backend", "distributed", "--hosts", "a:1",
+          "--inject-fault", "task:0:kill"],
+         "--inject-fault task:0:kill requires --backend multiprocess"),
+        (["--backend", "multiprocess", "--inject-fault", "launch:1:fatal"],
+         "--inject-fault launch:1:fatal does not apply to "
+         "--backend multiprocess"),
+        (["-m", "serial_sa", "--inject-fault", "task:0:kill"],
+         "serial_sa runs no worker pool"),
+    ])
+    def test_solve_cli_spells_its_own_flags(self, capsys, extra, message):
+        rc = main(["solve", "cdd", "-n", "10", "-i", "20"] + extra)
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+
 class TestFacadeValidation:
     def setup_method(self):
         self.solver = solver_for(biskup_instance(10, 0.4, 1))
@@ -240,11 +305,11 @@ class TestFacadeValidation:
                 task_timeout=1.0,
             )
 
-    def test_pool_faults_rejected_for_distributed(self):
-        with pytest.raises(ValueError, match="net_faults"):
+    def test_task_faults_rejected_for_distributed(self):
+        with pytest.raises(ValueError, match="requires backend='multiprocess'"):
             self.solver.solve(
                 "parallel_sa", backend="distributed", hosts="a:1",
-                pool_faults=object(),
+                fault_plan=FaultPlan([parse_fault("task:0:kill")]),
             )
 
     def test_hosts_requires_distributed_backend(self):
@@ -273,11 +338,11 @@ class TestCLIFlags:
         args = build_parser().parse_args(
             ["solve", "cdd", "--backend", "distributed",
              "--hosts", "h1:4,h2:8", "--heartbeat-timeout", "5",
-             "--inject-net-fault", "disconnect:0"]
+             "--inject-fault", "send:0:disconnect"]
         )
         assert args.hosts == "h1:4,h2:8"
         assert args.heartbeat_timeout == 5.0
-        assert args.inject_net_fault == "disconnect:0"
+        assert args.inject_fault == ["send:0:disconnect"]
 
     def test_hosts_flag_requires_distributed_backend(self, capsys):
         rc = main(["solve", "cdd", "-n", "10", "--hosts", "h1:4"])

@@ -192,9 +192,9 @@ class TestInjectedFaults:
         )
 
     def test_transient_fault_retried_to_success(self, store):
-        from repro.resilience import FaultPlan, FaultSpec
+        from repro.resilience import FaultPlan, FaultSpec, Firing
 
-        plan = FaultPlan([FaultSpec(op="launch", at=300, kind="transient")])
+        plan = FaultPlan([FaultSpec(site="launch", at=300, kind="transient")])
         clean = self._study(store, self._runner())
         faulted = self._study(store, self._runner(plan))
 
@@ -205,12 +205,12 @@ class TestInjectedFaults:
         # The retried cell recomputes from the same seed: identical study.
         np.testing.assert_array_equal(clean.mean_deviation,
                                       faulted.mean_deviation)
-        assert plan.fired == [("launch", 300, "transient")]
+        assert plan.fired == [Firing("launch", 300, "transient")]
 
     def test_fatal_fault_fails_without_retry(self, store):
         from repro.resilience import FaultPlan, FaultSpec
 
-        plan = FaultPlan([FaultSpec(op="launch", at=300, kind="fatal")])
+        plan = FaultPlan([FaultSpec(site="launch", at=300, kind="fatal")])
         study = self._study(store, self._runner(plan))
 
         report = study.report
@@ -227,7 +227,7 @@ class TestInjectedFaults:
     def test_oom_fault_is_fatal(self, store):
         from repro.resilience import FaultPlan, FaultSpec
 
-        plan = FaultPlan([FaultSpec(op="malloc", at=3, kind="oom")])
+        plan = FaultPlan([FaultSpec(site="malloc", at=3, kind="oom")])
         study = self._study(store, self._runner(plan))
         assert len(study.report.failed) == 1
         assert study.report.failed[0].error_kind == "fatal"
@@ -239,7 +239,7 @@ class TestInjectedFaults:
 
         # Simulated Ctrl-C partway through the study: the "interrupt"
         # fault raises KeyboardInterrupt on the Nth launch.
-        plan = FaultPlan([FaultSpec(op="launch", at=1200, kind="interrupt")])
+        plan = FaultPlan([FaultSpec(site="launch", at=1200, kind="interrupt")])
         killed = self._study(
             store, self._runner(plan, checkpoint_dir=tmp_path)
         )
@@ -267,7 +267,7 @@ class TestInjectedFaults:
 
         fired = {}
         for backend in ("gpusim", "vectorized"):
-            plan = FaultPlan([FaultSpec(op="launch", at=500, kind="fatal")])
+            plan = FaultPlan([FaultSpec(site="launch", at=500, kind="fatal")])
             study = self._study(
                 BestKnownStore(tmp_store_path),
                 self._runner(plan, backend=backend),
@@ -294,7 +294,7 @@ class TestInjectedFaults:
         from repro.experiments.config import SCALES
         from repro.resilience import FaultPlan, FaultSpec
 
-        plan = FaultPlan([FaultSpec(op="launch", at=5, kind=kind)])
+        plan = FaultPlan([FaultSpec(site="launch", at=5, kind=kind)])
         study = run_sync_vs_async(
             SCALES["smoke"], replicates=1,
             runner=self._runner(plan, backend="multiprocess"),

@@ -13,6 +13,7 @@ through to NumPy, which then raises what it always raised.
 from __future__ import annotations
 
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,7 +79,6 @@ class TestRNGParity:
             assert np.array_equal(fast, ref)
             assert fast_rng.counter == ref_rng.counter
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("counter", COUNTERS)
     @pytest.mark.parametrize("offset", OFFSETS)
@@ -86,7 +86,6 @@ class TestRNGParity:
         self._draws(lib, seed, counter, offset, "raw")
         self._draws(lib, seed, counter, offset, "uniform")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("low,high", [
         (0, 1), (0, 2), (1, 50), (-7, 9), (0, 1000), (0, 1 << 31),
         (0, (1 << 32) - 1), (5, 5 + (1 << 32) - 1),
@@ -96,7 +95,6 @@ class TestRNGParity:
         for seed, counter in itertools.product(self.SEEDS, self.COUNTERS):
             self._draws(lib, seed, counter, offset, "randint", low, high)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @given(seed=st.integers(0, U64), counter=st.integers(0, U64),
            offset=st.one_of(st.none(), st.integers(0, U64)),
            low=st.integers(-1000, 1000), span=st.integers(1, (1 << 32) - 1))
@@ -117,6 +115,13 @@ class TestRNGParity:
         assert rng.counter == 2
         view = OffsetRNG(rng, 100)
         assert view.reserve(1) == (9, 2) and rng.counter == 3
+
+    def test_draw_wraps_the_counter_without_warning(self):
+        rng = make_rng(9, U64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rng.raw(np.arange(4))
+        assert rng.counter == 0
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
-"""Network chaos drills: every net-fault kind, against stock agents, on
+"""Network chaos drills: every ``send`` fault kind, against stock agents, on
 one- and two-host topologies — the pool must recover through the
 supervision ladder and deliver identical results.
 
-The faults are injected client-side (`NetFaultPlan` at the send path),
+The faults are injected client-side (``send`` specs of a `FaultPlan`),
 so what is being tested is the real recovery machinery: the agent's
 integrity check and torn-frame handling, the client's heartbeat
 deadline, reconnect backoff and requeue-on-link-failure."""
@@ -18,10 +18,10 @@ from repro.pool.errors import (
     PoisonTaskError,
     WorkerCrashError,
 )
-from repro.pool.faults import NET_FAULT_KINDS, NetFaultPlan, parse_net_fault
 from repro.pool.hosts import HostPool
 from repro.pool.net import HostSpec
 from repro.pool.worker import solve_one
+from repro.resilience.faults import SITE_KINDS, FaultPlan, parse_fault
 
 SOLVE_KW = dict(
     backend="vectorized", iterations=30, grid_size=2, block_size=32, seed=7
@@ -69,13 +69,13 @@ def _run(pool, n=3):
 
 
 class TestChaosMatrix:
-    @pytest.mark.parametrize("kind", NET_FAULT_KINDS)
+    @pytest.mark.parametrize("kind", SITE_KINDS["send"])
     @pytest.mark.parametrize("n_hosts", [1, 2])
     def test_recovers_with_identical_results(self, agents, kind, n_hosts):
         baseline = _run(HostPool(_specs(agents, n_hosts), **POOL_KW))
-        plan = NetFaultPlan([parse_net_fault(f"{kind}:1")])
+        plan = FaultPlan([parse_fault(f"send:1:{kind}")])
         chaotic = _run(HostPool(
-            _specs(agents, n_hosts), task_retries=1, net_faults=plan,
+            _specs(agents, n_hosts), task_retries=1, fault_plan=plan,
             **POOL_KW,
         ))
         assert plan.fired, f"the {kind} fault never fired"
@@ -87,12 +87,12 @@ class TestChaosMatrix:
         ]
 
     def test_fired_log_names_host_task_attempt(self, agents):
-        plan = NetFaultPlan([parse_net_fault("delay:0")])
+        plan = FaultPlan([parse_fault("send:0:delay")])
         _run(HostPool(
-            _specs(agents, 1), task_retries=1, net_faults=plan, **POOL_KW
+            _specs(agents, 1), task_retries=1, fault_plan=plan, **POOL_KW
         ))
-        (kind, host, task, attempt), = plan.fired
-        assert kind == "delay"
+        (site, task, kind, attempt, host), = plan.fired
+        assert (site, kind) == ("send", "delay")
         assert host == _specs(agents, 1)[0].label
         assert task == 0 and attempt == 1
 
@@ -101,18 +101,18 @@ class TestBudgetAccounting:
     def test_corrupt_frame_consumes_task_retries(self, agents):
         # corrupt-frame makes the agent report an integrity failure;
         # that is a *task* failure and must burn the retry budget.
-        plan = NetFaultPlan([parse_net_fault("corrupt-frame:0")])
+        plan = FaultPlan([parse_fault("send:0:corrupt-frame")])
         out = _run(HostPool(
-            _specs(agents, 1), task_retries=0, net_faults=plan, **POOL_KW
+            _specs(agents, 1), task_retries=0, fault_plan=plan, **POOL_KW
         ), n=1)
         (_, status, value), = out
         assert status == "error"
         assert isinstance(value, PayloadIntegrityError)
 
     def test_repeat_corruption_exhausts_budget_into_quarantine(self, agents):
-        plan = NetFaultPlan([parse_net_fault("corrupt-frame:0:repeat")])
+        plan = FaultPlan([parse_fault("send:0:corrupt-frame:repeat")])
         out = _run(HostPool(
-            _specs(agents, 1), task_retries=2, net_faults=plan, **POOL_KW
+            _specs(agents, 1), task_retries=2, fault_plan=plan, **POOL_KW
         ), n=1)
         (_, status, value), = out
         assert status == "error"
@@ -128,9 +128,9 @@ class TestBudgetAccounting:
     def test_host_loss_reruns_are_free(self, agents):
         # disconnect tears the link, not the task: with task_retries=0
         # the re-run after reconnect must still succeed.
-        plan = NetFaultPlan([parse_net_fault("disconnect:0")])
+        plan = FaultPlan([parse_fault("send:0:disconnect")])
         out = _run(HostPool(
-            _specs(agents, 1), task_retries=0, net_faults=plan, **POOL_KW
+            _specs(agents, 1), task_retries=0, fault_plan=plan, **POOL_KW
         ), n=2)
         assert plan.fired
         assert all(status == "ok" for _, status, _ in out)

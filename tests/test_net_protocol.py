@@ -7,11 +7,12 @@ import socket
 import pytest
 
 from repro.pool.errors import FrameError, PayloadIntegrityError
-from repro.pool.faults import (
-    NET_FAULT_KINDS,
-    NetFaultPlan,
-    NetFaultSpec,
-    parse_net_fault,
+from repro.resilience.faults import (
+    SITE_KINDS,
+    FaultPlan,
+    FaultSpec,
+    Firing,
+    parse_fault,
 )
 from repro.pool.net import (
     CONTROL_TASK_ID,
@@ -203,16 +204,20 @@ class TestHostSpecs:
 
 
 class TestNetFaultGrammar:
-    @pytest.mark.parametrize("kind", NET_FAULT_KINDS)
+    """The ``send`` site of the one grammar (the whole table is in
+    tests/test_resilience.py)."""
+
+    @pytest.mark.parametrize("kind", SITE_KINDS["send"])
     def test_each_kind_parses(self, kind):
-        spec = parse_net_fault(f"{kind}:3")
-        assert spec == NetFaultSpec(kind=kind, task_index=3)
+        spec = parse_fault(f"send:3:{kind}")
+        assert spec == FaultSpec(site="send", at=3, kind=kind)
         assert not spec.repeat
 
     def test_repeat_flag(self):
-        spec = parse_net_fault("disconnect:0:repeat")
+        spec = parse_fault("send:0:disconnect:repeat")
         assert spec.repeat
 
+    # The old KIND:TASK spellings are not a compatibility form.
     @pytest.mark.parametrize(
         "text",
         ["", "disconnect", "nosuch:1", "delay:-1", "delay:x",
@@ -220,17 +225,19 @@ class TestNetFaultGrammar:
     )
     def test_malformed_directives_rejected(self, text):
         with pytest.raises(ValueError):
-            parse_net_fault(text)
+            parse_fault(text)
 
     def test_plan_fires_once_per_task_by_default(self):
-        plan = NetFaultPlan([parse_net_fault("corrupt-frame:2")])
-        assert plan.directive("h:1", 2, attempt=1) == "corrupt-frame"
-        assert plan.directive("h:1", 2, attempt=2) is None
-        assert plan.directive("h:1", 1, attempt=1) is None
-        assert plan.fired == [("corrupt-frame", "h:1", 2, 1)]
+        plan = FaultPlan([parse_fault("send:2:corrupt-frame")])
+        assert plan.directive("send", 2, 1, "h:1") == "corrupt-frame"
+        assert plan.directive("send", 2, 2, "h:1") is None
+        assert plan.directive("send", 1, 1, "h:1") is None
+        assert plan.directive("task", 2, 1) is None
+        assert plan.fired == [Firing("send", 2, "corrupt-frame", 1, "h:1")]
 
     def test_repeat_plan_fires_every_attempt(self):
-        plan = NetFaultPlan([parse_net_fault("disconnect:0:repeat")])
-        assert plan.directive("h:1", 0, attempt=1) == "disconnect"
-        assert plan.directive("h:2", 0, attempt=2) == "disconnect"
-        assert len(plan.fired) == 2
+        plan = FaultPlan([parse_fault("send:0:disconnect:repeat")])
+        assert plan.directive("send", 0, 1, "h:1") == "disconnect"
+        assert plan.directive("send", 0, 2, "h:2") == "disconnect"
+        assert [(f.attempt, f.host) for f in plan.fired] == [
+            (1, "h:1"), (2, "h:2")]

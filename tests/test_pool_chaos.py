@@ -1,11 +1,11 @@
-"""Transport chaos matrix: every pool fault kind at every pool width.
+"""Transport chaos matrix: every ``task`` fault kind at every pool width.
 
 The headline robustness claim (ISSUE acceptance): for each fault kind in
 {kill, hang, corrupt-payload} and each worker count in {1, 2, 4}, a
 supervised pool absorbs a transient injection — the victim is retried,
 every task yields its true value, and the surviving results are
 bit-identical to an undisturbed run.  The CLI drill proves the same thing
-end to end through ``repro solve --inject-pool-fault``.
+end to end through ``repro solve --inject-fault task:...``.
 """
 
 import io
@@ -16,7 +16,7 @@ import warnings
 import pytest
 
 from repro.pool.executor import ProcessPool
-from repro.pool.faults import POOL_FAULT_KINDS, PoolFaultPlan, PoolFaultSpec
+from repro.resilience.faults import SITE_KINDS, FaultPlan, FaultSpec, Firing
 
 
 def _square(v):
@@ -33,21 +33,21 @@ def _pool(**kw):
 
 class TestChaosMatrix:
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("kind", POOL_FAULT_KINDS)
+    @pytest.mark.parametrize("kind", SITE_KINDS["task"])
     def test_transient_fault_absorbed(self, kind, workers):
-        plan = PoolFaultPlan([PoolFaultSpec(kind, 1)])
+        plan = FaultPlan([FaultSpec("task", 1, kind)])
         pool = _pool(workers=workers, task_retries=1,
                      task_timeout=5.0, fault_plan=plan)
         tasks = [(_square, (v,)) for v in range(5)]
         results = {i: (s, v) for i, s, v in pool.imap_unordered(tasks)}
         assert results == {i: ("ok", i * i) for i in range(5)}
-        assert plan.fired == [(kind, 1, 1)]
+        assert plan.fired == [Firing("task", 1, kind, 1)]
 
-    @pytest.mark.parametrize("kind", POOL_FAULT_KINDS)
+    @pytest.mark.parametrize("kind", SITE_KINDS["task"])
     def test_repeat_fault_quarantines_only_the_victim(self, kind):
         from repro.pool.errors import PoisonTaskError
 
-        plan = PoolFaultPlan([PoolFaultSpec(kind, 2, repeat=True)])
+        plan = FaultPlan([FaultSpec("task", 2, kind, repeat=True)])
         pool = _pool(workers=2, task_retries=1, task_timeout=0.5,
                      fault_plan=plan)
         tasks = [(_square, (v,)) for v in range(4)]
@@ -84,7 +84,7 @@ class TestCliChaosDrill:
     def test_injected_kill_retried_bit_identically(self):
         rc_clean, out_clean = self._solve()
         rc_chaos, out_chaos = self._solve(
-            "--inject-pool-fault", "kill:1", "--task-retries", "1")
+            "--inject-fault", "task:1:kill", "--task-retries", "1")
         assert rc_clean == rc_chaos == 0
         assert out_clean == out_chaos
 
@@ -92,7 +92,7 @@ class TestCliChaosDrill:
         from repro.cli import main
 
         for extra in (["--task-timeout", "5"],
-                      ["--inject-pool-fault", "kill:0"],
+                      ["--inject-fault", "task:0:kill"],
                       ["--task-retries", "2"]):
             rc = main(["solve", "cdd", "-n", "10", "-m", "parallel_sa",
                        "-i", "20"] + extra)
@@ -102,5 +102,5 @@ class TestCliChaosDrill:
     def test_bad_pool_fault_spec_fails_fast(self, capsys):
         from repro.cli import main
 
-        with pytest.raises(ValueError, match="pool fault"):
-            main(self.ARGS + ["--inject-pool-fault", "teleport:1"])
+        with pytest.raises(ValueError, match="fault site"):
+            main(self.ARGS + ["--inject-fault", "teleport:1:kill"])

@@ -27,11 +27,12 @@ from repro.pool.errors import (
     WorkerTimeoutError,
 )
 from repro.pool.executor import ProcessPool
-from repro.pool.faults import (
-    POOL_FAULT_KINDS,
-    PoolFaultPlan,
-    PoolFaultSpec,
-    parse_pool_fault,
+from repro.resilience.faults import (
+    SITE_KINDS,
+    FaultPlan,
+    FaultSpec,
+    Firing,
+    parse_fault,
 )
 
 
@@ -89,15 +90,15 @@ class TestWatchdog:
     def test_hang_fault_retried_to_success(self):
         # The transient shape: the first attempt hangs, the watchdog reaps
         # it, the retry runs clean.
-        plan = PoolFaultPlan([PoolFaultSpec("hang", 0)])
+        plan = FaultPlan([FaultSpec("task", 0, "hang")])
         pool = ProcessPool(workers=1, task_timeout=0.5, task_retries=1,
                            fault_plan=plan)
         assert list(pool.imap_unordered([(_ok_task, (7,))])) == [(0, "ok", 7)]
-        assert plan.fired == [("hang", 0, 1)]
+        assert plan.fired == [Firing("task", 0, "hang", 1)]
 
     def test_hang_fault_without_timeout_rejected(self):
         with pytest.raises(ValueError, match="task_timeout"):
-            ProcessPool(fault_plan=PoolFaultPlan([PoolFaultSpec("hang", 0)]))
+            ProcessPool(fault_plan=FaultPlan([FaultSpec("task", 0, "hang")]))
 
     def test_timeout_validated(self):
         with pytest.raises(ValueError, match="task_timeout"):
@@ -108,14 +109,14 @@ class TestWatchdog:
 
 class TestRetriesAndQuarantine:
     def test_transient_kill_retried_to_success(self):
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 0)])
+        plan = FaultPlan([FaultSpec("task", 0, "kill")])
         pool = ProcessPool(workers=1, task_retries=1, fault_plan=plan,
                            retry_delay=lambda attempt: 0.01)
         assert list(pool.imap_unordered([(_ok_task, (9,))])) == [(0, "ok", 9)]
-        assert plan.fired == [("kill", 0, 1)]
+        assert plan.fired == [Firing("task", 0, "kill", 1)]
 
     def test_poison_task_quarantined_after_k_failures(self):
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 0, repeat=True)])
+        plan = FaultPlan([FaultSpec("task", 0, "kill", repeat=True)])
         pool = ProcessPool(workers=1, task_retries=2, fault_plan=plan)
         [(index, status, value)] = list(
             pool.imap_unordered([(_ok_task, (9,))], labels=["victim"])
@@ -129,10 +130,12 @@ class TestRetriesAndQuarantine:
         assert all(a.outcome == "crash" for a in report.attempts)
         # The injected kill exits with code 77: captured as evidence.
         assert all(a.exitcode == 77 for a in report.attempts)
-        assert plan.fired == [("kill", 0, 1), ("kill", 0, 2), ("kill", 0, 3)]
+        assert plan.fired == [
+            Firing("task", 0, "kill", attempt) for attempt in (1, 2, 3)
+        ]
 
     def test_poison_report_json_and_summary(self):
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 0, repeat=True)])
+        plan = FaultPlan([FaultSpec("task", 0, "kill", repeat=True)])
         pool = ProcessPool(workers=1, task_retries=1, fault_plan=plan)
         [(_, _, value)] = list(
             pool.imap_unordered([(_ok_task, (9,))], labels=["bad"])
@@ -146,13 +149,13 @@ class TestRetriesAndQuarantine:
 
     def test_poison_is_fatal_not_transient(self):
         # Retrying a quarantined task is exactly what quarantine prevents.
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 0, repeat=True)])
+        plan = FaultPlan([FaultSpec("task", 0, "kill", repeat=True)])
         pool = ProcessPool(workers=1, task_retries=1, fault_plan=plan)
         [(_, _, value)] = list(pool.imap_unordered([(_ok_task, (9,))]))
         assert classify_error(value) == "fatal"
 
     def test_siblings_complete_while_task_is_quarantined(self):
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 1, repeat=True)])
+        plan = FaultPlan([FaultSpec("task", 1, "kill", repeat=True)])
         pool = _pool(workers=2, task_retries=2, fault_plan=plan)
         tasks = [(_ok_task, (i,)) for i in range(4)]
         results = {i: (s, v) for i, s, v in pool.imap_unordered(tasks)}
@@ -164,7 +167,7 @@ class TestRetriesAndQuarantine:
     def test_zero_retries_surfaces_raw_error(self):
         # The pre-supervision contract: a single-attempt pool yields the
         # raw WorkerCrashError, never a PoisonTaskError wrapper.
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 0)])
+        plan = FaultPlan([FaultSpec("task", 0, "kill")])
         pool = ProcessPool(workers=1, fault_plan=plan)
         [(_, status, value)] = list(pool.imap_unordered([(_ok_task, (1,))]))
         assert status == "error"
@@ -184,7 +187,7 @@ class TestRetriesAndQuarantine:
 
 class TestResultIntegrity:
     def test_corrupt_payload_detected(self):
-        plan = PoolFaultPlan([PoolFaultSpec("corrupt-payload", 0)])
+        plan = FaultPlan([FaultSpec("task", 0, "corrupt-payload")])
         pool = ProcessPool(workers=1, fault_plan=plan)
         [(_, status, value)] = list(
             pool.imap_unordered([(_ok_task, (11,))], labels=["flip"])
@@ -194,7 +197,7 @@ class TestResultIntegrity:
         assert "digest" in str(value) and "flip" in str(value)
 
     def test_corrupt_payload_retry_recovers_true_value(self):
-        plan = PoolFaultPlan([PoolFaultSpec("corrupt-payload", 0)])
+        plan = FaultPlan([FaultSpec("task", 0, "corrupt-payload")])
         pool = ProcessPool(workers=1, task_retries=1, fault_plan=plan)
         assert list(pool.imap_unordered([(_ok_task, (11,))])) == [
             (0, "ok", 11)
@@ -206,35 +209,41 @@ class TestResultIntegrity:
 
 
 class TestFaultPlanGrammar:
+    """The ``task`` site of the one grammar (the whole table is in
+    tests/test_resilience.py)."""
+
     def test_parse_simple(self):
-        spec = parse_pool_fault("kill:1")
-        assert (spec.kind, spec.task_index, spec.repeat) == ("kill", 1, False)
+        spec = parse_fault("task:1:kill")
+        assert (spec.site, spec.kind, spec.at, spec.repeat) == (
+            "task", "kill", 1, False)
 
     def test_parse_repeat(self):
-        spec = parse_pool_fault("corrupt-payload:2:repeat")
-        assert (spec.kind, spec.task_index, spec.repeat) == (
-            "corrupt-payload", 2, True)
+        spec = parse_fault("task:2:corrupt-payload:repeat")
+        assert (spec.site, spec.kind, spec.at, spec.repeat) == (
+            "task", "corrupt-payload", 2, True)
 
+    # The old KIND:TASK spellings are not a compatibility form.
     @pytest.mark.parametrize("bad", [
         "kill", "kill:x", "kill:1:always", "teleport:1", "kill:-1",
     ])
     def test_bad_specs_rejected(self, bad):
         with pytest.raises(ValueError):
-            parse_pool_fault(bad)
+            parse_fault(bad)
 
     def test_spec_validates_kind_and_index(self):
-        with pytest.raises(ValueError, match="pool fault kind"):
-            PoolFaultSpec(kind="oom", task_index=0)
+        with pytest.raises(ValueError, match="task fault kind"):
+            FaultSpec(site="task", at=0, kind="oom")
         with pytest.raises(ValueError, match=">= 0"):
-            PoolFaultSpec(kind="kill", task_index=-2)
-        assert set(POOL_FAULT_KINDS) == {"kill", "hang", "corrupt-payload"}
+            FaultSpec(site="task", at=-2, kind="kill")
+        assert set(SITE_KINDS["task"]) == {"kill", "hang", "corrupt-payload"}
 
     def test_directive_fires_first_attempt_only_without_repeat(self):
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 3)])
-        assert plan.directive(3, 1) == "kill"
-        assert plan.directive(3, 2) is None
-        assert plan.directive(2, 1) is None
-        assert plan.fired == [("kill", 3, 1)]
+        plan = FaultPlan([FaultSpec("task", 3, "kill")])
+        assert plan.directive("task", 3, 1) == "kill"
+        assert plan.directive("task", 3, 2) is None
+        assert plan.directive("task", 2, 1) is None
+        assert plan.directive("send", 3, 1) is None
+        assert plan.fired == [Firing("task", 3, "kill", 1)]
 
     def test_labels_must_match_task_count(self):
         pool = ProcessPool(workers=1)
@@ -267,14 +276,14 @@ class TestSolveManySupervision:
 
     def test_crash_degrades_slot_with_structured_kind(self):
         items = self._solve_many(
-            pool_faults=PoolFaultPlan([PoolFaultSpec("kill", 1)]))
+            fault_plan=FaultPlan([FaultSpec("task", 1, "kill")]))
         assert [it.ok for it in items] == [True, False, True]
         assert items[1].error.error_type == "worker_crash"
 
     def test_poison_slot_carries_quarantine_report(self):
         items = self._solve_many(
             task_retries=2,
-            pool_faults=PoolFaultPlan([PoolFaultSpec("kill", 1, repeat=True)]),
+            fault_plan=FaultPlan([FaultSpec("task", 1, "kill", repeat=True)]),
         )
         assert [it.ok for it in items] == [True, False, True]
         error = items[1].error
@@ -286,7 +295,7 @@ class TestSolveManySupervision:
         clean = self._solve_many()
         chaotic = self._solve_many(
             task_retries=1,
-            pool_faults=PoolFaultPlan([PoolFaultSpec("kill", 0)]))
+            fault_plan=FaultPlan([FaultSpec("task", 0, "kill")]))
         assert all(it.ok for it in chaotic)
         assert [c.result.objective for c in clean] == [
             c.result.objective for c in chaotic]
@@ -307,7 +316,7 @@ class TestRunnerQuarantine:
             runner = ResilientRunner(
                 policy=RetryPolicy(max_retries=2, backoff_base_s=0.0,
                                    backoff_max_s=0.0),
-                checkpoint_dir=tmp_path, workers=2, pool_faults=plan,
+                checkpoint_dir=tmp_path, workers=2, fault_plan=plan,
             )
             units = [WorkUnit(key="poisoned/unit", run=_unit(0)),
                      WorkUnit(key="fine", run=_unit(1))]
@@ -315,7 +324,7 @@ class TestRunnerQuarantine:
         return report
 
     def test_poisoned_unit_fails_run_continues(self, tmp_path):
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 0, repeat=True)])
+        plan = FaultPlan([FaultSpec("task", 0, "kill", repeat=True)])
         report = self._run(tmp_path, plan)
         statuses = {o.key: o.status for o in report.outcomes}
         assert statuses == {"poisoned/unit": "failed", "fine": "ok"}
@@ -324,7 +333,7 @@ class TestRunnerQuarantine:
         assert failed.attempts == 3
 
     def test_quarantine_report_written_with_safe_name(self, tmp_path):
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 0, repeat=True)])
+        plan = FaultPlan([FaultSpec("task", 0, "kill", repeat=True)])
         self._run(tmp_path, plan)
         path = tmp_path / "quarantine" / "poisoned_unit.json"
         assert path.exists()
@@ -334,7 +343,7 @@ class TestRunnerQuarantine:
         assert [a["outcome"] for a in blob["attempts"]] == ["crash"] * 3
 
     def test_transient_fault_leaves_no_quarantine(self, tmp_path):
-        plan = PoolFaultPlan([PoolFaultSpec("kill", 0)])
+        plan = FaultPlan([FaultSpec("task", 0, "kill")])
         report = self._run(tmp_path, plan)
         assert all(o.ok for o in report.outcomes)
         assert not (tmp_path / "quarantine").exists()

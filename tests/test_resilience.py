@@ -12,8 +12,11 @@ from repro.gpusim.errors import (
 )
 from repro.resilience import (
     CheckpointStore,
+    FAULT_SITES,
+    SITE_KINDS,
     FaultPlan,
     FaultSpec,
+    Firing,
     ResilientRunner,
     RetryPolicy,
     WorkUnit,
@@ -185,26 +188,76 @@ def _payload_unit(v):
     return run
 
 
+#: Every (site, kind) pair of the one grammar, with its lowest valid AT.
+SITE_KIND_PAIRS = [
+    (site, kind) for site, kinds in SITE_KINDS.items() for kind in kinds
+]
+
+
+def _first_at(site):
+    return 1 if site in ("launch", "malloc") else 0
+
+
+class TestFaultGrammar:
+    """One table over every site and kind of ``SITE:AT:KIND[:repeat]``."""
+
+    def test_table_covers_every_site(self):
+        assert FAULT_SITES == ("launch", "malloc", "task", "send")
+        assert {site for site, _ in SITE_KIND_PAIRS} == set(FAULT_SITES)
+
+    @pytest.mark.parametrize("site,kind", SITE_KIND_PAIRS)
+    def test_valid_spec_round_trips(self, site, kind):
+        text = f"{site}:7:{kind}"
+        spec = parse_fault(text)
+        assert spec == FaultSpec(site=site, at=7, kind=kind)
+        assert not spec.repeat and str(spec) == text
+
+    @pytest.mark.parametrize("site,kind", SITE_KIND_PAIRS)
+    def test_repeat_suffix(self, site, kind):
+        spec = parse_fault(f"{site}:7:{kind}:repeat")
+        assert spec.repeat and str(spec) == f"{site}:7:{kind}:repeat"
+
+    @pytest.mark.parametrize("site,kind", SITE_KIND_PAIRS)
+    def test_index_below_the_site_base_rejected(self, site, kind):
+        low = _first_at(site)
+        assert parse_fault(f"{site}:{low}:{kind}").at == low
+        with pytest.raises(ValueError, match=f">= {low}"):
+            parse_fault(f"{site}:{low - 1}:{kind}")
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_fault(f"{site}:x:{kind}")
+
+    @pytest.mark.parametrize("site,kind", SITE_KIND_PAIRS)
+    def test_kind_from_another_site_rejected(self, site, kind):
+        for other in FAULT_SITES:
+            if kind in SITE_KINDS[other]:
+                continue
+            with pytest.raises(ValueError, match=f"{other} fault kind"):
+                parse_fault(f"{other}:{_first_at(other)}:{kind}")
+
+    @pytest.mark.parametrize("text", [
+        "teleport:1:kill", "gpu:1:transient", "kill:1:task", "op:1:oom",
+    ])
+    def test_bad_site_rejected(self, text):
+        with pytest.raises(ValueError, match="fault site"):
+            parse_fault(text)
+
+
 class TestFaultSpecs:
     def test_bad_op_rejected(self):
-        with pytest.raises(ValueError, match="fault op"):
-            FaultSpec(op="teleport", at=1)
+        with pytest.raises(ValueError, match="fault site"):
+            FaultSpec(site="teleport", at=1, kind="transient")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="fault kind"):
-            FaultSpec(op="launch", at=1, kind="gamma_ray")
+            FaultSpec(site="launch", at=1, kind="gamma_ray")
 
     def test_bad_index_rejected(self):
         with pytest.raises(ValueError, match=">= 1"):
-            FaultSpec(op="launch", at=0)
-
-    def test_bad_probability_rejected(self):
-        with pytest.raises(ValueError, match="probability"):
-            FaultSpec(op="launch", at=1, probability=0.0)
+            FaultSpec(site="launch", at=0, kind="transient")
 
     def test_parse_fault(self):
         spec = parse_fault("launch:40:transient")
-        assert (spec.op, spec.at, spec.kind, spec.repeat) == (
+        assert (spec.site, spec.at, spec.kind, spec.repeat) == (
             "launch", 40, "transient", False
         )
         assert parse_fault("malloc:3:oom:repeat").repeat
@@ -216,18 +269,18 @@ class TestFaultSpecs:
                 parse_fault(bad)
 
     def test_plan_fires_once_at_index(self):
-        plan = FaultPlan([FaultSpec(op="launch", at=3, kind="fatal")])
+        plan = FaultPlan([FaultSpec(site="launch", at=3, kind="fatal")])
         plan.record("launch")
         plan.record("launch")
         with pytest.raises(InvalidLaunchError):
             plan.record("launch")
         plan.record("launch")  # one-shot: index 4 passes
-        assert plan.fired == [("launch", 3, "fatal")]
+        assert plan.fired == [Firing("launch", 3, "fatal")]
         assert plan.counts()["launch"] == 4
 
     def test_repeat_fires_forever(self):
         plan = FaultPlan(
-            [FaultSpec(op="malloc", at=2, kind="oom", repeat=True)]
+            [FaultSpec(site="malloc", at=2, kind="oom", repeat=True)]
         )
         plan.record("malloc")
         for _ in range(3):
@@ -235,29 +288,41 @@ class TestFaultSpecs:
                 plan.record("malloc")
 
     def test_counters_are_per_op(self):
-        plan = FaultPlan([FaultSpec(op="launch", at=1, kind="fatal")])
+        plan = FaultPlan([FaultSpec(site="launch", at=1, kind="fatal")])
         plan.record("malloc")  # does not advance the launch counter
         with pytest.raises(InvalidLaunchError):
             plan.record("launch")
 
-    def test_probabilistic_plan_is_reproducible(self):
-        def firings():
-            plan = FaultPlan(
-                [FaultSpec(op="launch", at=1, kind="transient",
-                           repeat=True, probability=0.5)],
-                seed=42,
-            )
-            out = []
-            for i in range(20):
-                try:
-                    plan.record("launch")
-                except DeviceUnavailableError:
-                    out.append(i)
-            return out
+    def test_keyed_sites_neither_count_nor_cross(self):
+        plan = FaultPlan([
+            FaultSpec(site="task", at=0, kind="kill"),
+            FaultSpec(site="send", at=0, kind="delay"),
+            FaultSpec(site="launch", at=1, kind="fatal"),
+        ])
+        assert plan.directive("task", 0, attempt=1) == "kill"
+        assert plan.directive("send", 0, attempt=1, host="h:1") == "delay"
+        assert plan.counts() == {"launch": 0, "malloc": 0}
+        with pytest.raises(ValueError, match="counted fault site"):
+            plan.record("task")
+        assert plan.fired == [
+            Firing("task", 0, "kill", attempt=1),
+            Firing("send", 0, "delay", attempt=1, host="h:1"),
+        ]
 
-        first, second = firings(), firings()
-        assert first == second
-        assert 0 < len(first) < 20
+    def test_hang_needs_a_watchdog(self):
+        plan = FaultPlan([parse_fault("task:0:hang")])
+        with pytest.raises(ValueError, match="set task_timeout"):
+            plan.check_watchdog(None)
+        plan.check_watchdog(1.0)
+        FaultPlan([parse_fault("task:0:kill")]).check_watchdog(None)
+
+    def test_refuse_sites_names_the_spec(self):
+        plan = FaultPlan([parse_fault("send:2:delay:repeat")])
+        plan.refuse_sites(("task",), "here")
+        with pytest.raises(ValueError,
+                           match="here cannot fire 'send' faults "
+                                 r"\(got send:2:delay:repeat\)"):
+            plan.refuse_sites(("send",), "here")
 
 
 class TestClassification:
@@ -437,10 +502,24 @@ class TestResilientRunner:
         assert runner.solver_engine("vectorized")["backend"] == "vectorized"
 
     def test_solver_backend_with_plan_carries_it(self):
-        plan = FaultPlan([FaultSpec(op="launch", at=1)])
+        plan = FaultPlan([FaultSpec(site="launch", at=1, kind="transient")])
         runner, _ = _instant_runner(fault_plan=plan)
         backend = runner.solver_engine("vectorized")["backend"]
         assert backend.fault_plan is plan
+
+    def test_task_faults_need_a_worker_pool(self):
+        # The serial path builds no pool, so a task fault would never fire.
+        plan = FaultPlan([parse_fault("task:1:kill")])
+        for workers in (None, 1):
+            with pytest.raises(ValueError, match="without a worker pool"):
+                ResilientRunner(fault_plan=plan, workers=workers)
+        assert ResilientRunner(fault_plan=plan, workers=2).fault_plan is plan
+
+    def test_hang_fault_needs_the_task_timeout(self):
+        plan = FaultPlan([parse_fault("task:0:hang")])
+        with pytest.raises(ValueError, match="set task_timeout"):
+            ResilientRunner(fault_plan=plan, workers=2)
+        ResilientRunner(fault_plan=plan, workers=2, task_timeout_s=1.0)
 
     def test_footnote_empty_on_clean_run(self):
         runner, _ = _instant_runner()

@@ -14,7 +14,7 @@ import pytest
 from repro.core.engine.placement import PLACEMENT_KNOBS
 from repro.core.solver import solver_for
 from repro.instances import biskup_instance
-from repro.pool.faults import PoolFaultPlan, parse_pool_fault
+from repro.resilience.faults import FaultPlan, parse_fault
 from repro.service.admission import (
     AdmissionPolicy,
     ValidationError,
@@ -326,7 +326,7 @@ class TestWorkerFaults:
             policy=AdmissionPolicy(queue_cap=4),
             workers=1,
             cache=ResultCache(tmp_path / "cache"),
-            fault_plan=PoolFaultPlan([parse_pool_fault("kill:0")]),
+            fault_plan=FaultPlan([parse_fault("task:0:kill")]),
         )
         service.start()
         try:
@@ -350,13 +350,19 @@ class TestWorkerFaults:
         finally:
             service.stop()
 
+    def test_hang_fault_needs_a_default_deadline(self):
+        plan = FaultPlan([parse_fault("task:0:hang")])
+        with pytest.raises(ValueError, match="set task_timeout"):
+            SchedulingService(fault_plan=plan, task_timeout=None)
+        SchedulingService(fault_plan=plan, task_timeout=1.0)
+
     def test_retries_absorb_a_transient_worker_death(self, tmp_path, body):
         service = SchedulingService(
             policy=AdmissionPolicy(queue_cap=4),
             workers=1,
             cache=None,
             task_retries=1,
-            fault_plan=PoolFaultPlan([parse_pool_fault("kill:0")]),
+            fault_plan=FaultPlan([parse_fault("task:0:kill")]),
         )
         service.start()
         try:
@@ -496,12 +502,27 @@ class TestServeCLI:
             "serve", "--bind", "127.0.0.1:0", "--workers", "2",
             "--queue-cap", "3", "--cache-dir", "none",
             "--ready-file", "/tmp/svc.addr", "--task-timeout", "5",
-            "--inject-pool-fault", "kill:0",
+            "--inject-fault", "task:0:kill",
         ])
         assert args.command == "serve"
+        assert args.inject_fault == ["task:0:kill"]
         assert args.workers == 2 and args.queue_cap == 3
         assert args.cache_dir == "none"
         assert args.ready_file == "/tmp/svc.addr"
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--inject-fault", "send:0:delay"], "cannot fire 'send' faults"),
+        (["--inject-fault", "launch:1:transient"],
+         "cannot fire 'launch' faults"),
+        (["--inject-fault", "task:0:hang"], "set task_timeout"),
+    ])
+    def test_unfirable_faults_exit_2_before_binding(self, capsys, extra,
+                                                    message):
+        from repro.cli import main
+
+        assert main(["serve", "--bind", "127.0.0.1:0",
+                     "--cache-dir", "none"] + extra) == 2
+        assert message in capsys.readouterr().err
 
     def test_ready_file_semantics_match_repro_agent(self, tmp_path):
         """serve --ready-file writes HOST:PORT after bind, like agent."""
